@@ -23,7 +23,6 @@ from .linalg import (
     polar_unitary,
 )
 from .charts import (
-    ChartOrdering,
     affine_to_ball,
     ball_to_affine,
     ball_unitary,

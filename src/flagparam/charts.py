@@ -6,11 +6,16 @@ Charts are indexed by permutations with two increasing runs; a chart sends
 a subspace to a matrix X with X*X < I (an open matrix ball), and back via
 the block unitary built from X.  Local sections into U(n) and a globally
 defined section (first valid chart in a fixed priority order) are provided.
+
+Projectors are the API boundary.  Internally the chart maps work on an
+orthonormal frame (any n x k matrix with orthonormal columns spanning the
+subspace): :func:`select_frame_chart` and :func:`frame_chart_coordinates`
+depend on the frame only through its span, and the projector versions are
+thin wrappers that recover a frame first.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 
 import numpy as np
@@ -28,20 +33,6 @@ from .linalg import (
     polar_unitary,
     spectral_norm,
 )
-
-
-class ChartOrdering(enum.Enum):
-    """Priority order in which charts are tried by the global section.
-
-    LEXICOGRAPHIC sorts the permutations by their image tuple, smallest
-    first (identity chart first).  LAST_INDEX sorts by the designated row
-    block, largest rows first.  The two enumerations provably coincide
-    (the complement map reverses lexicographic order); both are kept so
-    either convention can be requested explicitly.
-    """
-
-    LEXICOGRAPHIC = "lexicographic"
-    LAST_INDEX = "last-index"
 
 
 def identity_chart(n):
@@ -73,17 +64,18 @@ def validate_chart(sigma, k, n=None):
     return sigma
 
 
-def chart_permutations(n, k, ordering=ChartOrdering.LEXICOGRAPHIC):
-    """All C(n, k) chart permutations for G(k, C^n), in priority order."""
+def chart_permutations(n, k):
+    """All C(n, k) chart permutations for G(k, C^n), in priority order.
+
+    The priority order is ascending lexicographic order of the image tuple,
+    which is descending lexicographic order of the designated (bottom) rows
+    listed in increasing order: the identity chart comes first.  Enumerating the top rows in
+    lexicographic order produces it directly.
+    """
     perms = []
-    universe = set(range(1, n + 1))
-    for bottom in itertools.combinations(range(1, n + 1), k):
-        top = tuple(sorted(universe - set(bottom)))
-        perms.append(top + bottom)
-    if ordering is ChartOrdering.LEXICOGRAPHIC:
-        perms.sort()
-    else:
-        perms.sort(key=lambda s: s[n - k :], reverse=True)
+    for top in itertools.combinations(range(1, n + 1), n - k):
+        rest = set(top)
+        perms.append(top + tuple(i for i in range(1, n + 1) if i not in rest))
     return perms
 
 
@@ -125,25 +117,28 @@ def ball_unitary(x, psd_tol=PSD_TOL):
     """Block unitary [[(I-XX*)^1/2, X], [-X*, (I-X*X)^1/2]] from a ball coordinate.
 
     Unitary for every X in the closed ball X*X <= I.  Both square roots are
-    built from one SVD of X, so they intertwine with X exactly and the
-    result stays unitary to machine precision even on the ball boundary,
-    where separate eigendecompositions would lose half the digits.
+    built from one thin SVD X = U S V* as I + U diag(c - 1) U* and
+    I + V diag(c - 1) V* with c = (1 - s^2)^1/2, so they intertwine with X
+    exactly and the result stays unitary to machine precision even on the
+    ball boundary, where separate eigendecompositions would lose half the
+    digits.  c - 1 is evaluated as -s^2 / (1 + c), without cancellation.
     A 1-D ``x`` is treated as a single column.
     """
     x = as_matrix(x)
     r, k = x.shape
     n = r + k
-    u, s, vh = np.linalg.svd(x)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
     if s.size and s[0] ** 2 > 1.0 + psd_tol:
         raise NotPSDError(f"X*X has eigenvalue {s[0]**2:.6e} above 1")
-    c = np.sqrt(1.0 - np.minimum(s, 1.0) ** 2)
-    top = (u * np.concatenate([c, np.ones(r - c.size)])) @ u.conj().T
-    bottom = (vh.conj().T * np.concatenate([c, np.ones(k - c.size)])) @ vh
+    s2 = np.minimum(s, 1.0) ** 2
+    cm1 = -s2 / (1.0 + np.sqrt(1.0 - s2))
+    top = (u * cm1) @ u.conj().T
+    bottom = (vh.conj().T * cm1) @ vh
     w = np.empty((n, n), dtype=complex)
-    w[:r, :r] = (top + top.conj().T) / 2
+    w[:r, :r] = (top + top.conj().T) / 2 + np.eye(r)
     w[:r, r:] = x
     w[r:, :r] = -x.conj().T
-    w[r:, r:] = (bottom + bottom.conj().T) / 2
+    w[r:, r:] = (bottom + bottom.conj().T) / 2 + np.eye(k)
     return w
 
 
@@ -195,25 +190,29 @@ def frame_of_projector(p, tol=1e-8):
     return v[:, ::-1][:, :k]
 
 
-def chart_coordinates(p, sigma, rank_tol=RANK_TOL):
-    """Ball coordinate of a subspace in chart sigma (the chart map).
+def frame_chart_coordinates(f, sigma, rank_tol=RANK_TOL):
+    """Ball coordinate in chart sigma of the span of an orthonormal frame.
 
-    Extracts a frame from the projector, permutes its rows by sigma, and
-    polar-normalizes the bottom k x k block to be PSD; what remains on top is
-    the coordinate X.  Independent of the frame choice.  Raises
+    Gathers the rows of f by sigma and polar-normalizes the bottom k x k
+    block to be PSD; what remains on top is the coordinate X.  Independent
+    of the frame choice (f -> f @ q for unitary q).  Raises
     :class:`OutOfChartError` when the bottom block is singular at
     ``rank_tol``, i.e. the subspace lies outside this chart.
     """
-    f = frame_of_projector(p)
+    f = as_matrix(f)
     n, k = f.shape
     sigma = validate_chart(sigma, k, n)
     f_perm = f[np.array(sigma) - 1, :]
-    y = f_perm[n - k :, :]
     try:
-        u, _ = polar_unitary(y, rank_tol)
+        u, _ = polar_unitary(f_perm[n - k :, :], rank_tol)
     except SingularInputError as exc:
         raise OutOfChartError(f"block for chart {sigma} is singular: {exc}") from exc
     return f_perm[: n - k, :] @ u
+
+
+def chart_coordinates(p, sigma, rank_tol=RANK_TOL):
+    """Ball coordinate of a subspace, given by its projector, in chart sigma."""
+    return frame_chart_coordinates(frame_of_projector(p), sigma, rank_tol)
 
 
 def chart_point(x, sigma, psd_tol=PSD_TOL):
@@ -229,20 +228,66 @@ def chart_point(x, sigma, psd_tol=PSD_TOL):
     return projector_of_frame(f)
 
 
-def select_chart(p, ordering=ChartOrdering.LEXICOGRAPHIC, rank_tol=RANK_TOL):
-    """First chart (in the ordering's priority) that contains the subspace.
+def select_frame_chart(f, rank_tol=RANK_TOL):
+    """First chart, in priority order, containing the span of a frame.
+
+    A chart contains the span when its k designated rows of f have smallest
+    singular value above ``rank_tol``.  The priority order puts the
+    lexicographically smallest top (non-designated) row set first, so a
+    depth-first search over top sets, trying each row in the top before
+    leaving it out, meets the first valid chart first.  A row may join the
+    top only while the rows outside the top keep k-th singular value above
+    ``rank_tol``: deleting rows from a matrix with at least k rows never
+    raises its k-th singular value (Cauchy interlacing), so a top that
+    fails this has no valid completion, and pruning it is exact.  At finite
+    ``rank_tol`` the rows do not form a matroid, and a search that did not
+    backtrack out of a dead end could miss the scan's chart or raise on a
+    valid frame.
+
+    Each state first tries its smallest completion, which is the identity
+    chart at the start, so a frame in the identity chart costs one k x k
+    SVD.  Without dead ends the search is one pass over the rows.
+    """
+    f = as_matrix(f)
+    n, k = f.shape
+
+    def passes(top):
+        rows = np.delete(np.arange(n), top)
+        return np.linalg.svd(f[rows, :], compute_uv=False)[k - 1] > rank_tol
+
+    top, i, fresh = [], 0, True
+    while True:
+        need = n - k - len(top)
+        # After a row joins the top the smallest completion is unchanged,
+        # so it is tried only in a state reached by leaving a row out.
+        chart = top + list(range(i, i + need))
+        if fresh and passes(chart):
+            bottom = [j for j in range(n) if j not in chart]
+            return tuple(j + 1 for j in chart + bottom)
+        fresh = not (need > 1 and passes(top + [i]))
+        if not fresh:
+            top.append(i)
+        i += 1
+        # Backtrack when too few rows are left; with k == n the identity
+        # is the only chart.
+        while need == 0 or i + n - k - len(top) > n:
+            if not top:
+                raise NoChartError(
+                    f"no chart contains the given point at rank_tol={rank_tol:.1e}"
+                )
+            i, fresh = top.pop() + 1, True
+
+
+def select_chart(p, rank_tol=RANK_TOL):
+    """First chart (in priority order) that contains the subspace of a projector.
 
     Together with :func:`local_section` this realizes a globally defined
-    section.  Raises :class:`NoChartError` only for malformed projectors.
+    section.  Raises :class:`NoChartError` only when no chart passes
+    ``rank_tol``; for an orthonormal frame some k x k block has smallest
+    singular value at least C(n, k)^(-1/2) (Cauchy-Binet), so this needs a
+    malformed projector whenever that bound exceeds ``rank_tol``.
     """
-    f = frame_of_projector(p)
-    n, k = f.shape
-    for sigma in chart_permutations(n, k, ordering):
-        y = f[np.array(sigma[n - k :]) - 1, :]
-        s = np.linalg.svd(y, compute_uv=False)
-        if s[-1] > rank_tol:
-            return sigma
-    raise NoChartError(f"no chart contains the given point at rank_tol={rank_tol:.1e}")
+    return select_frame_chart(frame_of_projector(p), rank_tol)
 
 
 def local_section(p, sigma, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
@@ -255,9 +300,9 @@ def local_section(p, sigma, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
     return permutation_unitary(sigma) @ ball_unitary(x, psd_tol)
 
 
-def global_section(p, ordering=ChartOrdering.LEXICOGRAPHIC, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
+def global_section(p, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
     """Canonical unitary over a subspace, using the first valid chart."""
-    return local_section(p, select_chart(p, ordering, rank_tol), rank_tol, psd_tol)
+    return local_section(p, select_chart(p, rank_tol), rank_tol, psd_tol)
 
 
 def _inv_sqrt_pd(g):

@@ -33,14 +33,11 @@ from .linalg import (
     spectral_norm,
 )
 from .charts import (
-    ChartOrdering,
     ball_unitary,
-    chart_coordinates,
+    frame_chart_coordinates,
     frame_of_projector,
     identity_chart,
-    permutation_unitary,
-    projector_of_unitary,
-    select_chart,
+    select_frame_chart,
     validate_chart,
 )
 
@@ -155,33 +152,34 @@ def coordinates_distance(a: FlagCoordinates, b: FlagCoordinates) -> float:
 def decompose_unitary(
     g,
     profile,
-    ordering=ChartOrdering.LEXICOGRAPHIC,
     rank_tol=RANK_TOL,
     psd_tol=PSD_TOL,
     unit_tol=EPS_UNITARY,
 ):
     """Canonical coset decomposition of a unitary over a profile.
 
-    Peels levels from the outside in: the span of the last k_j columns is
-    chart-selected and mapped to its ball coordinate, the corresponding
-    section is divided out, and the upper-left block carries on.  Returns
-    the flag coordinates and the unique block-diagonal residue; the
-    coordinates depend only on the coset of g modulo block-diagonal factors.
+    Peels levels from the outside in: the last k_j columns of the current
+    n_j x n_j block are a frame of the level's plane; it is chart-selected
+    and mapped to its ball coordinate X, the section is divided out as
+    W(X)* times the rows gathered by the chart, and the upper-left block
+    carries on.  No projector is formed.  Returns the flag coordinates and
+    the unique block-diagonal residue; the coordinates depend only on the
+    coset of g modulo block-diagonal factors.
     """
     g = require_unitary(g, unit_tol)
     ks = validate_profile(profile, n=g.shape[0])
     cur = g
     xs, charts, residues = [], [], []
     for nj, kj in level_dimensions(ks):
-        p = projector_of_unitary(cur, kj)
-        sigma = select_chart(p, ordering, rank_tol)
-        x = chart_coordinates(p, sigma, rank_tol)
-        iota = permutation_unitary(sigma) @ ball_unitary(x, psd_tol)
-        res = iota.conj().T @ cur
+        r = nj - kj
+        frame = cur[:, r:]
+        sigma = select_frame_chart(frame, rank_tol)
+        x = frame_chart_coordinates(frame, sigma, rank_tol)
+        res = ball_unitary(x, psd_tol).conj().T @ cur[np.array(sigma) - 1, :]
         xs.append(x)
         charts.append(sigma)
-        residues.append(res[nj - kj :, nj - kj :])
-        cur = res[: nj - kj, : nj - kj]
+        residues.append(res[r:, r:])
+        cur = res[:r, :r]
     blocks = (cur,) + tuple(reversed(residues))
     return FlagCoordinates(ks, tuple(xs), tuple(charts)), BlockDiagonalUnitary(blocks)
 
@@ -190,23 +188,25 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None, psd_tol=PSD_TOL):
     """Product of the embedded per-level sections times a block-diagonal factor.
 
     Inverse of :func:`decompose_unitary`: feeding its output back returns the
-    original unitary.
+    original unitary.  Each level's section acts on the leading n_j columns
+    only, and ``h`` (identity when omitted) block by block.
     """
     ks = coords.profile
-    n = coords.n
-    if h is None:
-        h = BlockDiagonalUnitary.identity(ks)
-    if h.profile != ks:
+    if h is not None and h.profile != ks:
         raise ValidationError(
             f"block profile {h.profile} does not match coordinates profile {ks}",
             code="PROFILE_SUM",
         )
-    g = np.eye(n, dtype=complex)
-    for (nj, kj), x, sigma in zip(level_dimensions(ks), coords.xs, coords.charts):
-        factor = np.eye(n, dtype=complex)
-        factor[:nj, :nj] = permutation_unitary(sigma) @ ball_unitary(x, psd_tol)
-        g = g @ factor
-    return g @ h.matrix()
+    g = np.eye(coords.n, dtype=complex)
+    for (nj, _), x, sigma in zip(level_dimensions(ks), coords.xs, coords.charts):
+        g[:, :nj] = g[:, np.array(sigma) - 1] @ ball_unitary(x, psd_tol)
+    if h is not None:
+        start = 0
+        for b in h.blocks:
+            stop = start + b.shape[0]
+            g[:, start:stop] = g[:, start:stop] @ b
+            start = stop
+    return g
 
 
 def flag_section(coords: FlagCoordinates, psd_tol=PSD_TOL):
@@ -234,7 +234,7 @@ def section_from_projective_factors(p, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
     n, k = f.shape
     if k == n:
         raise ValidationError("the full plane has no chart coordinate", code="BAD_DIMENSION")
-    x0 = chart_coordinates(p, identity_chart(n), rank_tol)  # raises OutOfChartError
+    x0 = frame_chart_coordinates(f, identity_chart(n), rank_tol)  # raises OutOfChartError
     g = ball_unitary(x0, psd_tol)
     u_tri, _ = lower_triangularize(g[n - k :, n - k :], rank_tol)
     cur = g.copy()

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import GapAmbiguityError, ValidationError
 from .linalg import EPS_HERMITIAN, PSD_TOL, RANK_TOL, as_square, hermiticity_defect
-from .charts import ChartOrdering
 from .coset import FlagCoordinates, decompose_unitary, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
@@ -123,7 +122,6 @@ def require_density(rho, herm_tol=EPS_HERMITIAN, psd_tol=PSD_TOL, trace_tol=TRAC
 def deparametrize(
     rho,
     gap_tol=GAP_TOL,
-    ordering=ChartOrdering.LEXICOGRAPHIC,
     rank_tol=RANK_TOL,
     herm_tol=EPS_HERMITIAN,
     psd_tol=PSD_TOL,
@@ -154,7 +152,7 @@ def deparametrize(
     profile = tuple(len(g) for g in groups)
     lambdas = tuple(float(np.mean(w[g])) for g in groups)
     spectrum = Spectrum(profile, lambdas, gap_tol)
-    coords, _ = decompose_unitary(v, profile, ordering, rank_tol, psd_tol)
+    coords, _ = decompose_unitary(v, profile, rank_tol, psd_tol)
     return DensityParameters(spectrum, coords)
 
 

@@ -20,13 +20,18 @@ from .linalg import PSD_TOL, as_matrix, spectral_norm
 _TAYLOR_CUT = 1e-8
 
 
-def _eval_psd(func, m, psd_tol=PSD_TOL, cap_one=False):
-    """func applied to the eigenvalues of a Hermitian PSD matrix."""
+def _psd_eigh(m, psd_tol=PSD_TOL, cap_one=False):
+    """Eigenvalues (clipped to [0, inf) or [0, 1]) and eigenvectors of a Hermitian PSD matrix."""
     h = (m + m.conj().T) / 2
     w, v = np.linalg.eigh(h)
     if w.size and w[0] < -psd_tol:
         raise NotPSDError(f"eigenvalue {w[0]:.6e} below -psd_tol={psd_tol:.1e}")
-    w = np.clip(w, 0.0, 1.0 if cap_one else None)
+    return np.clip(w, 0.0, 1.0 if cap_one else None), v
+
+
+def _eval_psd(func, m, psd_tol=PSD_TOL, cap_one=False):
+    """func applied to the eigenvalues of a Hermitian PSD matrix."""
+    w, v = _psd_eigh(m, psd_tol, cap_one)
     return (v * func(w)) @ v.conj().T
 
 
@@ -89,16 +94,18 @@ def exp_generator(b):
 
     Blocks: cos of the square roots of BB* and B*B on the diagonal,
     B times the matrix sinc of B*B off it.  The large diagonal block is
-    evaluated through the small Gram matrix, so only the k2 x k2
-    eigenproblem is solved.  Agrees with the series exponential of
+    evaluated through the small Gram matrix, so only one k2 x k2
+    eigenproblem is solved; the three block functions are applied to its
+    eigenvalues.  Agrees with the series exponential of
     ``generator_matrix(b)``.
     """
     b = as_matrix(b)
     k1, k2 = b.shape
-    gram = b.conj().T @ b
-    x = b @ _eval_psd(_sinc_sqrt, gram)
-    c2 = _eval_psd(lambda t: np.cos(np.sqrt(t)), gram)
-    c1 = np.eye(k1) + b @ _eval_psd(_cos_sqrt_m1_over, gram) @ b.conj().T
+    w, v = _psd_eigh(b.conj().T @ b)
+    vh = v.conj().T
+    x = b @ ((v * _sinc_sqrt(w)) @ vh)
+    c2 = (v * np.cos(np.sqrt(w))) @ vh
+    c1 = np.eye(k1) + b @ ((v * _cos_sqrt_m1_over(w)) @ vh) @ b.conj().T
     u = np.empty((k1 + k2, k1 + k2), dtype=complex)
     u[:k1, :k1] = c1
     u[:k1, k1:] = x

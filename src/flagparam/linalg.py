@@ -9,7 +9,6 @@ operation also accepts them as keyword arguments.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPSDError, SingularInputError, ValidationError
 
@@ -151,8 +150,11 @@ def expm_reference(a):
     """Reference matrix exponential (scipy's scaling-and-squaring Pade).
 
     Used as the series-exponential oracle against which the closed-form
-    block exponential is checked.
+    block exponential is checked.  scipy is imported here, not at module
+    level, so importing the package does not pay for it.
     """
+    import scipy.linalg
+
     a = as_square(a)
     return scipy.linalg.expm(a)
 
@@ -175,5 +177,13 @@ def haar_unitary(n, seed=None):
 
 
 def block_diag(*blocks):
-    """Block-diagonal matrix with complex dtype."""
-    return scipy.linalg.block_diag(*[np.asarray(b, dtype=complex) for b in blocks])
+    """Block-diagonal matrix with complex dtype (1-D blocks are single rows)."""
+    blocks = [np.atleast_2d(np.asarray(b, dtype=complex)) for b in blocks]
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import haar_unitary
-from .charts import ChartOrdering, identity_chart
+from .charts import identity_chart
 from .coset import (
     BlockDiagonalUnitary,
     FlagCoordinates,
@@ -75,12 +75,7 @@ def random_block_diagonal(profile, rng):
     return BlockDiagonalUnitary(tuple(haar_unitary(k, rng) for k in ks))
 
 
-def random_density_parameters(
-    profile,
-    rng,
-    min_gap=MIN_SPECTRUM_GAP,
-    ordering=ChartOrdering.LEXICOGRAPHIC,
-):
+def random_density_parameters(profile, rng, min_gap=MIN_SPECTRUM_GAP):
     """Random density parameters: Haar flag coordinates plus a random spectrum.
 
     The flag point is drawn by decomposing a Haar unitary, so its law is the
@@ -90,5 +85,5 @@ def random_density_parameters(
     ks = validate_profile(profile)
     rng = np.random.default_rng(rng)
     spectrum = random_spectrum(ks, rng, min_gap)
-    coords, _ = decompose_unitary(haar_unitary(sum(ks), rng), ks, ordering)
+    coords, _ = decompose_unitary(haar_unitary(sum(ks), rng), ks)
     return DensityParameters(spectrum, coords)

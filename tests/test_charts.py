@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from flagparam import (
-    ChartOrdering,
+    RANK_TOL,
+    NoChartError,
     NotPSDError,
     OutOfChartError,
     ValidationError,
@@ -24,7 +25,7 @@ from flagparam import (
     projector_of_unitary,
     select_chart,
 )
-from flagparam.charts import validate_chart
+from flagparam.charts import select_frame_chart, validate_chart
 from flagparam.linalg import frobenius, unitarity_defect
 from flagparam.sampling import random_ball_matrix
 
@@ -63,15 +64,6 @@ class TestPermutations:
                 assert perms[0] == identity_chart(n)
                 for sigma in perms:
                     validate_chart(sigma, k, n)
-
-    def test_orderings_coincide(self):
-        # ascending lexicographic on the image equals descending on the
-        # designated rows: one priority sequence, two descriptions
-        for n in range(2, 8):
-            for k in range(1, n):
-                assert chart_permutations(n, k, ChartOrdering.LEXICOGRAPHIC) == (
-                    chart_permutations(n, k, ChartOrdering.LAST_INDEX)
-                )
 
     def test_validate_chart_rejects_bad_runs(self):
         with pytest.raises(ValidationError):
@@ -256,8 +248,7 @@ class TestChartSelection:
     def test_projective_fallback(self):
         # the line through e_1 misses the identity chart but not the swap chart
         p = np.diag([1.0, 0.0]).astype(complex)
-        for ordering in ChartOrdering:
-            assert select_chart(p, ordering) == (2, 1)
+        assert select_chart(p) == (2, 1)
 
     def test_haar_coverage(self):
         rng = np.random.default_rng(13)
@@ -272,6 +263,138 @@ class TestChartSelection:
     def test_malformed_input_rejected(self):
         with pytest.raises(ValidationError):
             select_chart(np.full((3, 3), 0.3, dtype=complex))
+
+
+def scan_chart(f, rank_tol=RANK_TOL):
+    """Reference selection: try every chart in priority order, return the
+    first whose designated rows have smallest singular value above rank_tol."""
+    n, k = f.shape
+    for sigma in chart_permutations(n, k):
+        rows = np.array(sigma[n - k :]) - 1
+        if np.linalg.svd(f[rows, :], compute_uv=False)[-1] > rank_tol:
+            return sigma
+    return None
+
+
+def orthonormalize(a):
+    """a (a*a)^(-1/2): zero rows stay exactly zero and row dependencies are kept."""
+    w, v = np.linalg.eigh(a.conj().T @ a)
+    return a @ ((v / np.sqrt(w)) @ v.conj().T)
+
+
+def sparse_frame(rng, n, k):
+    """Orthonormal frame from a Ginibre matrix with zeroed entries and rows.
+
+    Rows supported on fewer columns than their count are exactly dependent,
+    so many of these frames miss the identity chart.
+    """
+    while True:
+        a = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        a[rng.random((n, k)) < 0.5] = 0.0
+        a[rng.random(n) < 0.3] = 0.0
+        if np.linalg.matrix_rank(a) == k:
+            return orthonormalize(a)
+
+
+def near_tolerance_frame(rng, n, k):
+    """Haar frame whose identity-chart block is singular up to eps in [1e-9, 1e-7]."""
+    f = frame_of_unitary(haar_unitary(n, rng), k)
+    i = n - k + int(rng.integers(k))
+    others = [j for j in range(n - k, n) if j != i]
+    c = rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1)
+    eps = 10.0 ** rng.uniform(-9.0, -7.0)
+    f[i] = c @ f[others] + eps * f[i]
+    return orthonormalize(f)
+
+
+def small_row_frame(rng, n, k):
+    """Haar frame with row n and some other rows shrunk to norm in [0.5, 2] * 1e-8.
+
+    Row sets holding a short row pass or fail by a hair at rank_tol, which
+    is where a search without backtracking dead-ends.
+    """
+    f = frame_of_unitary(haar_unitary(n, rng), k)
+    rows = rng.choice(n - 1, int(rng.integers(0, n - k)), replace=False)
+    rows = np.append(rows, n - 1)
+    norms = 10.0 ** rng.uniform(-8.3, -7.7, rows.size)
+    f[rows] *= (norms / np.linalg.norm(f[rows], axis=1))[:, None]
+    return orthonormalize(f)
+
+
+def short_last_row_frame(q, short=1.1e-8):
+    """Rows of the unitary q, then a row of norm ``short`` along the first column.
+
+    Each row of q has at least a sixth of its weight on the first column, so
+    the short row passes rank_tol alone but fails together with any other row.
+    """
+    f = np.vstack([q, np.eye(1, q.shape[1])]).astype(complex)
+    f[-1] *= short
+    return orthonormalize(f)
+
+
+class TestFrameChartSelection:
+    """The depth-first search picks the same chart as the full priority scan."""
+
+    @staticmethod
+    def compare(make_frame, seed, count):
+        rng = np.random.default_rng(seed)
+        mismatches, off_identity = [], 0
+        for _ in range(count):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n))
+            f = make_frame(rng, n, k)
+            expected = scan_chart(f)
+            got = select_frame_chart(f)
+            if got != expected:
+                mismatches.append((n, k, expected, got))
+            off_identity += expected != identity_chart(n)
+        return mismatches, off_identity
+
+    def test_sparse_frames(self):
+        mismatches, off_identity = self.compare(sparse_frame, 40, 1500)
+        assert mismatches == []
+        assert off_identity > 300  # the exact zeros push many frames off the identity chart
+
+    def test_near_tolerance_frames(self):
+        mismatches, off_identity = self.compare(near_tolerance_frame, 41, 1500)
+        assert mismatches == []
+        # eps straddles rank_tol, so both outcomes of the boundary test occur
+        assert 100 < off_identity < 1400
+
+    def test_small_row_frames(self):
+        mismatches, off_identity = self.compare(small_row_frame, 43, 1500)
+        assert mismatches == []
+        assert off_identity > 300
+
+    @pytest.mark.parametrize(
+        "q, chart",
+        [
+            (np.array([[-1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2), (3, 1, 2)),
+            (np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3), (4, 1, 2, 3)),
+        ],
+    )
+    def test_dead_end(self, q, chart):
+        # a search that keeps the short last row finds no partners for it
+        f = short_last_row_frame(q)
+        assert scan_chart(f) == chart
+        assert select_frame_chart(f) == chart
+
+    def test_backtracking(self):
+        # rows 2 and 3 together span the column, so row 1 may join the top;
+        # neither passes alone, so the search must take row 1 out again
+        f = orthonormalize(np.array([[1.0], [0.8e-8], [0.8e-8]], dtype=complex))
+        assert scan_chart(f) == (2, 3, 1)
+        assert select_frame_chart(f) == (2, 3, 1)
+
+    def test_no_chart(self):
+        with pytest.raises(NoChartError):
+            select_frame_chart(np.zeros((4, 2), dtype=complex))
+
+    def test_frame_choice_independent(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            f = sparse_frame(rng, 6, 3)
+            assert select_frame_chart(f @ haar_unitary(3, rng)) == select_frame_chart(f)
 
 
 class TestSections:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,20 @@ class TestDecompose:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             decompose_unitary(np.diag([2.0, 1.0]), (1, 1))
+
+    @pytest.mark.parametrize("profile", [(128, 128), (125, 3)])
+    def test_roundtrip_at_scale(self, profile):
+        # chart selection is polynomial: a full scan would try up to
+        # C(256, 128) ~ 6e75 charts for the balanced profile.  One thread
+        # finishes both cases in well under a second; the bound leaves room
+        # for a loaded host.
+        g = haar_unitary(sum(profile), 29)
+        start = time.perf_counter()
+        coords, h = decompose_unitary(g, profile)
+        back = reconstruct_unitary(coords, h)
+        elapsed = time.perf_counter() - start
+        assert frobenius(back - g) <= 1e-10
+        assert elapsed < 20.0
 
 
 class TestReconstruct:
