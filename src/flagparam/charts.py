@@ -20,17 +20,18 @@ import itertools
 
 import numpy as np
 
-from .errors import NoChartError, NotPSDError, OutOfChartError, SingularInputError, ValidationError
+from .errors import NoChartError, NotPSDError, OutOfChartError, ValidationError
 from .linalg import (
     EPS_UNITARY,
     PSD_TOL,
     RANK_TOL,
     as_matrix,
     as_square,
+    ball_factors,
     hermitian_sqrt,
     hermiticity_defect,
     frobenius,
-    polar_unitary,
+    identity_plus,
     spectral_norm,
 )
 
@@ -45,18 +46,18 @@ def validate_chart(sigma, k, n=None):
     ``sigma`` is the 1-based image tuple (sigma(1), ..., sigma(n)); its first
     n-k entries and its last k entries must each be strictly increasing.
     """
-    sigma = tuple(int(s) for s in sigma)
-    m = len(sigma)
+    s = np.array(sigma, dtype=np.int64).ravel()
+    sigma = tuple(s.tolist())
+    m = s.size
     if n is not None and m != n:
         raise ValidationError(f"chart length {m} != n={n}", code="BAD_CHART")
-    if sorted(sigma) != list(range(1, m + 1)):
+    if not (np.sort(s) == np.arange(1, m + 1)).all():
         raise ValidationError(f"{sigma} is not a permutation of 1..{m}", code="BAD_CHART")
     if not 1 <= k <= m:
         raise ValidationError(f"invalid block size k={k} for n={m}", code="BAD_CHART")
-    top, bottom = sigma[: m - k], sigma[m - k :]
-    if any(a >= b for a, b in zip(top, top[1:])) or any(
-        a >= b for a, b in zip(bottom, bottom[1:])
-    ):
+    rises = s[1:] > s[:-1]
+    rises[m - k - 1 : m - k] = True  # the one place the runs may meet
+    if not rises.all():
         raise ValidationError(
             f"chart {sigma} must have two increasing runs of lengths {m - k} and {k}",
             code="BAD_CHART",
@@ -116,29 +117,24 @@ def require_closed_ball(x, tol=EPS_UNITARY):
 def ball_unitary(x, psd_tol=PSD_TOL):
     """Block unitary [[(I-XX*)^1/2, X], [-X*, (I-X*X)^1/2]] from a ball coordinate.
 
-    Unitary for every X in the closed ball X*X <= I.  Both square roots are
-    built from one thin SVD X = U S V* as I + U diag(c - 1) U* and
-    I + V diag(c - 1) V* with c = (1 - s^2)^1/2, so they intertwine with X
-    exactly and the result stays unitary to machine precision even on the
-    ball boundary, where separate eigendecompositions would lose half the
-    digits.  c - 1 is evaluated as -s^2 / (1 + c), without cancellation.
-    A 1-D ``x`` is treated as a single column.
+    Unitary for every X in the closed ball X*X <= I.  W(X) is the identity
+    plus a rank-min(r, k) correction: both square roots come from the one
+    (XV, V, c) factorization of :func:`~flagparam.linalg.ball_factors`, so
+    they intertwine with X exactly and the result stays unitary to machine
+    precision even on the ball boundary, where separate eigendecompositions
+    would lose half the digits.  The library's own peel and rebuild apply
+    the same factors without forming this matrix; it is the dense form for
+    callers that need one.  A 1-D ``x`` is treated as a single column.
     """
     x = as_matrix(x)
     r, k = x.shape
     n = r + k
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    if s.size and s[0] ** 2 > 1.0 + psd_tol:
-        raise NotPSDError(f"X*X has eigenvalue {s[0]**2:.6e} above 1")
-    s2 = np.minimum(s, 1.0) ** 2
-    cm1 = -s2 / (1.0 + np.sqrt(1.0 - s2))
-    top = (u * cm1) @ u.conj().T
-    bottom = (vh.conj().T * cm1) @ vh
+    xv, v, c = ball_factors(x, psd_tol)
     w = np.empty((n, n), dtype=complex)
-    w[:r, :r] = (top + top.conj().T) / 2 + np.eye(r)
+    w[:r, :r] = identity_plus(xv, -1.0 / (1.0 + c))
     w[:r, r:] = x
     w[r:, :r] = -x.conj().T
-    w[r:, r:] = (bottom + bottom.conj().T) / 2 + np.eye(k)
+    w[r:, r:] = identity_plus(v, c - 1.0)
     return w
 
 
@@ -190,24 +186,41 @@ def frame_of_projector(p, tol=1e-8):
     return v[:, ::-1][:, :k]
 
 
-def frame_chart_coordinates(f, sigma, rank_tol=RANK_TOL):
-    """Ball coordinate in chart sigma of the span of an orthonormal frame.
+def frame_chart_factors(f, sigma, rank_tol=RANK_TOL):
+    """Ball coordinate X of the span of a frame in chart sigma, with its section factors.
 
-    Gathers the rows of f by sigma and polar-normalizes the bottom k x k
-    block to be PSD; what remains on top is the coordinate X.  Independent
-    of the frame choice (f -> f @ q for unitary q).  Raises
-    :class:`OutOfChartError` when the bottom block is singular at
+    Gathers the rows of f by sigma.  The bottom k x k block B has the SVD
+    B* = V' S W*, and its polar factor u = V' W* turns the frame so that
+    the bottom block becomes W S W* = (I - X*X)^1/2; what remains on top is
+    X = F_top u.  The singular values S are the cosines of the principal
+    angles between the span and the chart's coordinate plane (Bjorck and
+    Golub 1973), so (XV, V, c) = (F_top V', W, S) are the factors of
+    :func:`~flagparam.linalg.ball_factors` without a second SVD.  Returns
+    (X, XV, V, c).  Raises :class:`OutOfChartError` when B is singular at
     ``rank_tol``, i.e. the subspace lies outside this chart.
     """
     f = as_matrix(f)
     n, k = f.shape
     sigma = validate_chart(sigma, k, n)
     f_perm = f[np.array(sigma) - 1, :]
-    try:
-        u, _ = polar_unitary(f_perm[n - k :, :], rank_tol)
-    except SingularInputError as exc:
-        raise OutOfChartError(f"block for chart {sigma} is singular: {exc}") from exc
-    return f_perm[: n - k, :] @ u
+    v_left, c, wh = np.linalg.svd(f_perm[n - k :, :].conj().T)
+    if c[-1] <= rank_tol:
+        raise OutOfChartError(
+            f"block for chart {sigma} is singular: smallest singular value "
+            f"{c[-1]:.3e} <= rank_tol={rank_tol:.1e}"
+        )
+    xv = f_perm[: n - k, :] @ v_left
+    return xv @ wh, xv, wh.conj().T, c
+
+
+def frame_chart_coordinates(f, sigma, rank_tol=RANK_TOL):
+    """Ball coordinate in chart sigma of the span of an orthonormal frame.
+
+    The polar normalization of :func:`frame_chart_factors`: independent of
+    the frame choice (f -> f @ q for unitary q).  Raises
+    :class:`OutOfChartError` outside the chart.
+    """
+    return frame_chart_factors(f, sigma, rank_tol)[0]
 
 
 def chart_coordinates(p, sigma, rank_tol=RANK_TOL):
@@ -251,9 +264,12 @@ def select_frame_chart(f, rank_tol=RANK_TOL):
     f = as_matrix(f)
     n, k = f.shape
 
+    def outside(top):
+        in_top = set(top)
+        return [j for j in range(n) if j not in in_top]
+
     def passes(top):
-        rows = np.delete(np.arange(n), top)
-        return np.linalg.svd(f[rows, :], compute_uv=False)[k - 1] > rank_tol
+        return np.linalg.svd(f[outside(top), :], compute_uv=False)[k - 1] > rank_tol
 
     top, i, fresh = [], 0, True
     while True:
@@ -262,8 +278,7 @@ def select_frame_chart(f, rank_tol=RANK_TOL):
         # so it is tried only in a state reached by leaving a row out.
         chart = top + list(range(i, i + need))
         if fresh and passes(chart):
-            bottom = [j for j in range(n) if j not in chart]
-            return tuple(j + 1 for j in chart + bottom)
+            return tuple(j + 1 for j in chart + outside(chart))
         fresh = not (need > 1 and passes(top + [i]))
         if not fresh:
             top.append(i)

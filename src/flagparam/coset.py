@@ -26,6 +26,7 @@ from .linalg import (
     RANK_TOL,
     as_matrix,
     as_square,
+    ball_factors,
     block_diag,
     frobenius,
     lower_triangularize,
@@ -35,6 +36,7 @@ from .linalg import (
 from .charts import (
     ball_unitary,
     frame_chart_coordinates,
+    frame_chart_factors,
     frame_of_projector,
     identity_chart,
     select_frame_chart,
@@ -82,21 +84,21 @@ class FlagCoordinates:
         profile = validate_profile(self.profile)
         dims = level_dimensions(profile)
         xs = tuple(as_matrix(x) for x in self.xs)
-        charts = tuple(tuple(int(s) for s in c) for c in self.charts)
+        charts = tuple(self.charts)
         if len(xs) != len(dims) or len(charts) != len(dims):
             raise ValidationError(
                 f"expected {len(dims)} levels for profile {profile}, "
                 f"got {len(xs)} coordinates and {len(charts)} charts",
                 code="PROFILE_SUM",
             )
-        for (nj, kj), x, sigma in zip(dims, xs, charts):
+        charts = tuple(validate_chart(sigma, kj, nj) for (nj, kj), sigma in zip(dims, charts))
+        for (nj, kj), x in zip(dims, xs):
             if x.shape != (nj - kj, kj):
                 raise ValidationError(
                     f"level on G({kj}, C^{nj}) needs a {nj - kj}x{kj} coordinate, "
                     f"got {x.shape}",
                     code="BAD_SHAPE",
                 )
-            validate_chart(sigma, kj, nj)
             top = spectral_norm(x)
             if top >= 1.0:
                 raise ValidationError(
@@ -153,18 +155,21 @@ def decompose_unitary(
     g,
     profile,
     rank_tol=RANK_TOL,
-    psd_tol=PSD_TOL,
     unit_tol=EPS_UNITARY,
 ):
     """Canonical coset decomposition of a unitary over a profile.
 
     Peels levels from the outside in: the last k_j columns of the current
     n_j x n_j block are a frame of the level's plane; it is chart-selected
-    and mapped to its ball coordinate X, the section is divided out as
-    W(X)* times the rows gathered by the chart, and the upper-left block
-    carries on.  No projector is formed.  Returns the flag coordinates and
-    the unique block-diagonal residue; the coordinates depend only on the
-    coset of g modulo block-diagonal factors.
+    and mapped to its ball coordinate X, the section W(X) is divided out of
+    the rows gathered by the chart, and the upper-left block carries on.
+    W(X)* is applied in factored form from the (XV, V, c) factors that the
+    chart map reads off the SVD of the chart block (see
+    :func:`~flagparam.charts.frame_chart_factors`): only the two diagonal
+    blocks of the product are formed, each as a rank-k_j update, and
+    neither W(X) nor a projector is built.  Returns the flag coordinates
+    and the unique block-diagonal residue; the coordinates depend only on
+    the coset of g modulo block-diagonal factors.
     """
     g = require_unitary(g, unit_tol)
     ks = validate_profile(profile, n=g.shape[0])
@@ -174,12 +179,20 @@ def decompose_unitary(
         r = nj - kj
         frame = cur[:, r:]
         sigma = select_frame_chart(frame, rank_tol)
-        x = frame_chart_coordinates(frame, sigma, rank_tol)
-        res = ball_unitary(x, psd_tol).conj().T @ cur[np.array(sigma) - 1, :]
+        x, xv, v, c = frame_chart_factors(frame, sigma, rank_tol)
+        rows = cur[np.array(sigma) - 1, :]
+        top, bottom = rows[:r], rows[r:]
+        xvh, vh = xv.conj().T, v.conj().T
+        # [[A, -X], [X*, C]] @ rows with A = I + XV diag(-1/(1+c)) (XV)*,
+        # C = I + V diag(c-1) V* and X = XV V*: the two diagonal blocks.
+        residues.append(
+            bottom[:, r:] + v @ (xvh @ top[:, r:] + (c - 1.0)[:, None] * (vh @ bottom[:, r:]))
+        )
+        cur = top[:, :r] + xv @ (
+            (-1.0 / (1.0 + c))[:, None] * (xvh @ top[:, :r]) - vh @ bottom[:, :r]
+        )
         xs.append(x)
         charts.append(sigma)
-        residues.append(res[r:, r:])
-        cur = res[:r, :r]
     blocks = (cur,) + tuple(reversed(residues))
     return FlagCoordinates(ks, tuple(xs), tuple(charts)), BlockDiagonalUnitary(blocks)
 
@@ -189,7 +202,9 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None, psd_tol=PSD_TOL):
 
     Inverse of :func:`decompose_unitary`: feeding its output back returns the
     original unitary.  Each level's section acts on the leading n_j columns
-    only, and ``h`` (identity when omitted) block by block.
+    only, as two rank-min(r, k) updates built from the thin SVD of X (see
+    :func:`~flagparam.linalg.ball_factors`), and ``h`` (identity when
+    omitted) block by block.
     """
     ks = coords.profile
     if h is not None and h.profile != ks:
@@ -198,8 +213,15 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None, psd_tol=PSD_TOL):
             code="PROFILE_SUM",
         )
     g = np.eye(coords.n, dtype=complex)
-    for (nj, _), x, sigma in zip(level_dimensions(ks), coords.xs, coords.charts):
-        g[:, :nj] = g[:, np.array(sigma) - 1] @ ball_unitary(x, psd_tol)
+    for (nj, kj), x, sigma in zip(level_dimensions(ks), coords.xs, coords.charts):
+        r = nj - kj
+        xv, v, c = ball_factors(x, psd_tol)
+        cols = g[:, np.array(sigma) - 1]
+        left, right = cols[:, :r], cols[:, r:]
+        left_xv, right_v = left @ xv, right @ v
+        # cols @ [[A, X], [-X*, C]], with A, C and X factored as in the peel
+        g[:, :r] = left + ((-1.0 / (1.0 + c)) * left_xv - right_v) @ xv.conj().T
+        g[:, r:nj] = right + (left_xv + (c - 1.0) * right_v) @ v.conj().T
     if h is not None:
         start = 0
         for b in h.blocks:

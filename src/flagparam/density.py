@@ -101,8 +101,8 @@ def parametrize(params: DensityParameters, psd_tol=PSD_TOL):
     return (rho + rho.conj().T) / 2
 
 
-def require_density(rho, herm_tol=EPS_HERMITIAN, psd_tol=PSD_TOL, trace_tol=TRACE_TOL):
-    """Validate a density matrix: Hermitian, PSD within tolerance, unit trace."""
+def _hermitian_unit_trace(rho, herm_tol, trace_tol):
+    """Symmetrized input after the Hermiticity and unit-trace checks."""
     rho = as_square(rho)
     defect = hermiticity_defect(rho)
     if defect > herm_tol:
@@ -113,9 +113,20 @@ def require_density(rho, herm_tol=EPS_HERMITIAN, psd_tol=PSD_TOL, trace_tol=TRAC
     trace = float(np.trace(h).real)
     if abs(trace - 1.0) > trace_tol:
         raise ValidationError(f"trace {trace!r} != 1", code="BAD_TRACE")
-    low = float(np.linalg.eigvalsh(h)[0])
+    return h
+
+
+def _require_psd(w, psd_tol):
+    """Reject ascending eigenvalues w whose smallest is below -psd_tol."""
+    low = float(w[0])
     if low < -psd_tol:
         raise ValidationError(f"negative eigenvalue {low:.3e}", code="NOT_DENSITY_PSD")
+
+
+def require_density(rho, herm_tol=EPS_HERMITIAN, psd_tol=PSD_TOL, trace_tol=TRACE_TOL):
+    """Validate a density matrix: Hermitian, PSD within tolerance, unit trace."""
+    h = _hermitian_unit_trace(rho, herm_tol, trace_tol)
+    _require_psd(np.linalg.eigvalsh(h), psd_tol)
     return h
 
 
@@ -135,8 +146,9 @@ def deparametrize(
     eigenvector unitary is then decomposed over the detected profile; its
     block-diagonal residue is commutant freedom and is dropped.
     """
-    h = require_density(rho, herm_tol, psd_tol)
+    h = _hermitian_unit_trace(rho, herm_tol, TRACE_TOL)
     w, v = np.linalg.eigh(h)
+    _require_psd(w, psd_tol)
     w = w[::-1]
     v = v[:, ::-1]
     gaps = w[:-1] - w[1:]
@@ -152,7 +164,7 @@ def deparametrize(
     profile = tuple(len(g) for g in groups)
     lambdas = tuple(float(np.mean(w[g])) for g in groups)
     spectrum = Spectrum(profile, lambdas, gap_tol)
-    coords, _ = decompose_unitary(v, profile, rank_tol, psd_tol)
+    coords, _ = decompose_unitary(v, profile, rank_tol)
     return DensityParameters(spectrum, coords)
 
 

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .errors import NotPSDError, PrincipalRangeWarning
-from .linalg import PSD_TOL, as_matrix, spectral_norm
+from .linalg import PSD_TOL, as_matrix, ball_factors, identity_plus, spectral_norm
 
 _TAYLOR_CUT = 1e-8
 
@@ -65,17 +65,6 @@ def _asin_sqrt_over(t):
     out[small] = 1.0 + ts / 6.0 + 3.0 * ts**2 / 40.0 + 15.0 * ts**3 / 336.0
     r = np.sqrt(t[~small])
     out[~small] = np.arcsin(r) / r
-    return out
-
-
-def _sqrt1m_m1_over(t):
-    """(sqrt(1 - t) - 1) / t, analytic for t < 1, continuous at t = 1."""
-    out = np.empty_like(t)
-    small = t < _TAYLOR_CUT
-    ts = t[small]
-    out[small] = -0.5 - ts / 8.0 - ts**2 / 16.0 - 5.0 * ts**3 / 128.0
-    tb = t[~small]
-    out[~small] = (np.sqrt(1.0 - tb) - 1.0) / tb
     return out
 
 
@@ -147,20 +136,15 @@ def ball_to_generator(x):
 
 
 def sqrt_complement(x, psd_tol=PSD_TOL):
-    """(I - X X*)^(1/2) through the smaller Gram matrix X*X.
+    """(I - X X*)^(1/2) as a rank-min(k1, k2) update of the identity.
 
-    Uses the rank-structured identity
-    I + X (X*X)^(-1/2) [(I - X*X)^(1/2) - I] (X*X)^(-1/2) X*,
-    whose middle factor is an entire function of X*X (value -1/2 at zero),
-    so only a k2 x k2 eigenproblem is needed for a k1 x k2 input.
-    Raises :class:`NotPSDError` when X*X has an eigenvalue above 1.
+    Uses the rank-structured identity I + XV diag(-1 / (1 + c)) (XV)* from
+    one thin SVD of X, with V its right singular vectors and c the cosines
+    (1 - s^2)^1/2 (see :func:`~flagparam.linalg.ball_factors`): since
+    (sqrt(1 - t) - 1) / t = -1 / (1 + sqrt(1 - t)), the middle factor has no
+    cancellation and needs no series near zero.  This is the top block of
+    ``ball_unitary(x)``.  Raises :class:`NotPSDError` when X*X has an
+    eigenvalue above 1.
     """
-    x = as_matrix(x)
-    k1 = x.shape[0]
-    gram = x.conj().T @ x
-    w = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-    if w.size and w[-1] > 1.0 + psd_tol:
-        raise NotPSDError(f"X*X has eigenvalue {w[-1]:.6e} above 1")
-    mid = _eval_psd(_sqrt1m_m1_over, gram, psd_tol, cap_one=True)
-    out = np.eye(k1) + x @ mid @ x.conj().T
-    return (out + out.conj().T) / 2
+    xv, _, c = ball_factors(as_matrix(x), psd_tol)
+    return identity_plus(xv, -1.0 / (1.0 + c))

@@ -46,9 +46,12 @@ def frobenius(a) -> float:
 
 
 def spectral_norm(a) -> float:
+    """Largest singular value; a single row or column is its 2-norm, no SVD."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0.0
+    if a.ndim == 2 and min(a.shape) == 1:
+        return float(np.linalg.norm(a))
     return float(np.linalg.norm(a, 2))
 
 
@@ -99,6 +102,34 @@ def hermitian_sqrt(a, psd_tol=PSD_TOL, herm_tol=EPS_HERMITIAN):
         raise NotPSDError(f"eigenvalue {w[0]:.6e} below -psd_tol={psd_tol:.1e}")
     s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return (s + s.conj().T) / 2
+
+
+def ball_factors(x, psd_tol=PSD_TOL):
+    """Factored square roots of a closed-ball coordinate X (r x k, X*X <= I).
+
+    From the thin SVD X = U S V*, returns (XV, V, c) with V the k x p right
+    singular vectors (p = min(r, k)) and c = (1 - S^2)^1/2 the cosines, so
+    that X = XV V* and
+
+        (I - X X*)^1/2 = I + XV diag(-1 / (1 + c)) (XV)*,
+        (I - X* X)^1/2 = I + V diag(c - 1) V*.
+
+    Both are rank-p corrections of the identity; -1/(1 + c) has no
+    cancellation anywhere in the closed ball.  Raises :class:`NotPSDError`
+    when X*X has an eigenvalue above 1 + ``psd_tol``; singular values up to
+    that bound count as 1.
+    """
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    if s.size and s[0] ** 2 > 1.0 + psd_tol:
+        raise NotPSDError(f"X*X has eigenvalue {s[0]**2:.6e} above 1")
+    s = np.minimum(s, 1.0)
+    return u * s, vh.conj().T, np.sqrt(1.0 - s**2)
+
+
+def identity_plus(w, d):
+    """I + W diag(d) W*, Hermitian-symmetrized."""
+    m = (w * d) @ w.conj().T
+    return (m + m.conj().T) / 2 + np.eye(w.shape[0])
 
 
 def polar_unitary(y, rank_tol=RANK_TOL):

@@ -71,6 +71,27 @@ class TestPermutations:
         with pytest.raises(ValidationError):
             validate_chart((1, 1, 2, 3), 2, 4)
 
+    def test_validate_chart_matches_loop_reference(self):
+        # every sequence over 1..n of length n (repeats included), every k
+        def reference(sigma, k):
+            m = len(sigma)
+            top, bottom = sigma[: m - k], sigma[m - k :]
+            return sorted(sigma) == list(range(1, m + 1)) and all(
+                a < b for run in (top, bottom) for a, b in zip(run, run[1:])
+            )
+
+        from itertools import product
+
+        for n in range(1, 5):
+            for sigma in product(range(1, n + 1), repeat=n):
+                for k in range(1, n + 1):
+                    try:
+                        assert validate_chart(sigma, k, n) == sigma
+                        accepted = True
+                    except ValidationError:
+                        accepted = False
+                    assert accepted == reference(sigma, k), (sigma, k)
+
 
 class TestBallUnitary:
     def test_zero(self):

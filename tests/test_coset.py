@@ -25,6 +25,7 @@ from flagparam import (
     section_from_projective_factors,
     validate_profile,
 )
+from flagparam.charts import frame_chart_coordinates, select_frame_chart
 from flagparam.coset import level_dimensions
 from flagparam.linalg import block_diag, frobenius, unitarity_defect
 from flagparam.sampling import (
@@ -140,7 +141,7 @@ class TestDecompose:
         with pytest.raises(ValidationError):
             decompose_unitary(np.diag([2.0, 1.0]), (1, 1))
 
-    @pytest.mark.parametrize("profile", [(128, 128), (125, 3)])
+    @pytest.mark.parametrize("profile", [(128, 128), (125, 3), (3, 125)])
     def test_roundtrip_at_scale(self, profile):
         # chart selection is polynomial: a full scan would try up to
         # C(256, 128) ~ 6e75 charts for the balanced profile.  One thread
@@ -153,6 +154,79 @@ class TestDecompose:
         elapsed = time.perf_counter() - start
         assert frobenius(back - g) <= 1e-10
         assert elapsed < 20.0
+
+
+def dense_decompose(g, profile):
+    """Reference peel: each level divides out the dense section W(X)*."""
+    cur = g
+    xs, charts, residues = [], [], []
+    for nj, kj in level_dimensions(profile):
+        r = nj - kj
+        frame = cur[:, r:]
+        sigma = select_frame_chart(frame)
+        x = frame_chart_coordinates(frame, sigma)
+        res = ball_unitary(x).conj().T @ cur[np.array(sigma) - 1, :]
+        xs.append(x)
+        charts.append(sigma)
+        residues.append(res[r:, r:])
+        cur = res[:r, :r]
+    return xs, charts, [cur] + residues[::-1]
+
+
+def dense_reconstruct(coords, h):
+    """Reference rebuild: each level multiplies by the dense section W(X)."""
+    g = np.eye(coords.n, dtype=complex)
+    for (nj, _), x, sigma in zip(level_dimensions(coords.profile), coords.xs, coords.charts):
+        g[:, :nj] = g[:, np.array(sigma) - 1] @ ball_unitary(x)
+    return g @ h.matrix()
+
+
+def near_boundary_unitary(r, k, margin, rng):
+    """Section over a plane whose identity-chart block has smallest singular value ``margin``."""
+    p = min(r, k)
+    s = np.sqrt(rng.uniform(0.0, 0.9, p))
+    s[0] = np.sqrt(1.0 - margin**2)
+    x = haar_unitary(r, rng)[:, :p] @ np.diag(s) @ haar_unitary(k, rng)[:p, :]
+    return ball_unitary(x) @ random_block_diagonal((r, k), rng).matrix()
+
+
+class TestFactoredSections:
+    """The factored peel and rebuild against the dense W(X) products."""
+
+    def check_parity(self, g, profile):
+        coords, h = decompose_unitary(g, profile)
+        xs, charts, blocks = dense_decompose(g, profile)
+        assert coords.charts == tuple(charts)
+        assert max((np.max(np.abs(a - b)) for a, b in zip(coords.xs, xs)), default=0.0) <= 1e-12
+        assert max(np.max(np.abs(a - b)) for a, b in zip(h.blocks, blocks)) <= 1e-12
+        assert np.max(np.abs(reconstruct_unitary(coords, h) - dense_reconstruct(coords, h))) <= 1e-12
+        return coords
+
+    # k < r, k = r and k > r on the levels
+    @pytest.mark.parametrize("profile", [(1,) * 6, (3, 3), (1, 5), (2, 1, 4)])
+    def test_haar(self, profile):
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            self.check_parity(haar_unitary(sum(profile), rng), profile)
+
+    @pytest.mark.parametrize("profile", [(1,) * 6, (3, 3), (2, 1, 3)])
+    def test_non_identity_chart(self, profile):
+        # the last three columns live on the first three rows, so the
+        # identity chart's block is zero at the outermost level
+        rng = np.random.default_rng(31)
+        swap = np.eye(6)[:, [3, 4, 5, 0, 1, 2]]
+        g = swap @ block_diag(haar_unitary(3, rng), haar_unitary(3, rng))
+        coords = self.check_parity(g, profile)
+        assert coords.charts[0] != identity_chart(6)
+
+    @pytest.mark.parametrize("r,k", [(3, 2), (2, 3), (3, 3)])
+    def test_near_boundary(self, r, k):
+        rng = np.random.default_rng(32)
+        g = near_boundary_unitary(r, k, 1e-7, rng)
+        block = g[r:, r:]
+        assert np.linalg.svd(block, compute_uv=False)[-1] == pytest.approx(1e-7, rel=0.1)
+        coords = self.check_parity(g, (r, k))
+        assert coords.charts == (identity_chart(r + k),)
 
 
 class TestReconstruct:

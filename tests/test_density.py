@@ -105,8 +105,10 @@ class TestRequireDensity:
             require_density(diag_density(0.5, 0.6))
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValidationError):
-            require_density(diag_density(1.1, -0.1))
+        for check in (require_density, deparametrize):
+            with pytest.raises(ValidationError) as info:
+                check(diag_density(1.1, -0.1))
+            assert info.value.code == "NOT_DENSITY_PSD"
 
 
 class TestDeparametrize:
