@@ -20,15 +20,14 @@ import itertools
 
 import numpy as np
 
-from .errors import NoChartError, NotPSDError, OutOfChartError, ValidationError
+from .errors import NoChartError, OutOfChartError, ValidationError
 from .linalg import (
-    EPS_UNITARY,
     PSD_TOL,
     RANK_TOL,
     as_matrix,
     as_square,
     ball_factors,
-    hermitian_sqrt,
+    block_rotation,
     hermiticity_defect,
     frobenius,
     identity_plus,
@@ -80,6 +79,13 @@ def chart_permutations(n, k):
     return perms
 
 
+def _scatter_rows(m, sigma):
+    """permutation_unitary(sigma) @ m, without forming the permutation matrix."""
+    out = np.empty_like(m)
+    out[np.array(sigma) - 1] = m
+    return out
+
+
 def permutation_unitary(sigma):
     """Permutation matrix sending basis vector e_j to e_{sigma(j)}."""
     sigma = tuple(int(s) for s in sigma)
@@ -104,16 +110,6 @@ def require_ball(x, margin=0.0):
     return x
 
 
-def require_closed_ball(x, tol=EPS_UNITARY):
-    x = as_matrix(x)
-    top = spectral_norm(x)
-    if top > 1.0 + tol:
-        raise ValidationError(
-            f"spectral norm {top:.6f} outside the closed ball", code="BALL_NORM"
-        )
-    return x
-
-
 def ball_unitary(x, psd_tol=PSD_TOL):
     """Block unitary [[(I-XX*)^1/2, X], [-X*, (I-X*X)^1/2]] from a ball coordinate.
 
@@ -127,15 +123,8 @@ def ball_unitary(x, psd_tol=PSD_TOL):
     callers that need one.  A 1-D ``x`` is treated as a single column.
     """
     x = as_matrix(x)
-    r, k = x.shape
-    n = r + k
     xv, v, c = ball_factors(x, psd_tol)
-    w = np.empty((n, n), dtype=complex)
-    w[:r, :r] = identity_plus(xv, -1.0 / (1.0 + c))
-    w[:r, r:] = x
-    w[r:, :r] = -x.conj().T
-    w[r:, r:] = identity_plus(v, c - 1.0)
-    return w
+    return block_rotation(identity_plus(xv, -1.0 / (1.0 + c)), x, identity_plus(v, c - 1.0))
 
 
 def frame_of_unitary(g, k):
@@ -231,13 +220,16 @@ def chart_coordinates(p, sigma, rank_tol=RANK_TOL):
 def chart_point(x, sigma, psd_tol=PSD_TOL):
     """Subspace (projector) with ball coordinate X in chart sigma.
 
-    Inverse of :func:`chart_coordinates` on its chart.
+    Inverse of :func:`chart_coordinates` on its chart.  The frame is the
+    last k columns of ``ball_unitary(x)`` with its rows scattered by sigma;
+    its bottom block (I - X*X)^1/2 comes from the factors of
+    :func:`~flagparam.linalg.ball_factors`.
     """
     x = as_matrix(x)
     r, k = x.shape
     sigma = validate_chart(sigma, k, r + k)
-    y = hermitian_sqrt(np.eye(k) - x.conj().T @ x, psd_tol)
-    f = permutation_unitary(sigma) @ np.vstack([x, y])
+    _, v, c = ball_factors(x, psd_tol)
+    f = _scatter_rows(np.vstack([x, identity_plus(v, c - 1.0)]), sigma)
     return projector_of_frame(f)
 
 
@@ -312,7 +304,7 @@ def local_section(p, sigma, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
     subspace.
     """
     x = chart_coordinates(p, sigma, rank_tol)
-    return permutation_unitary(sigma) @ ball_unitary(x, psd_tol)
+    return _scatter_rows(ball_unitary(x, psd_tol), sigma)
 
 
 def global_section(p, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
@@ -320,23 +312,20 @@ def global_section(p, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
     return local_section(p, select_chart(p, rank_tol), rank_tol, psd_tol)
 
 
-def _inv_sqrt_pd(g):
-    g = as_square(g)
-    w, v = np.linalg.eigh((g + g.conj().T) / 2)
-    if w.size and w[0] <= 0.0:
-        raise NotPSDError(f"matrix is not positive definite (eigenvalue {w[0]:.3e})")
-    return (v / np.sqrt(w)) @ v.conj().T
-
-
 def ball_to_affine(x):
-    """Affine chart matrix Z = X (I - X*X)^(-1/2) of an open-ball coordinate."""
-    x = require_ball(x)
-    k = x.shape[1]
-    return x @ _inv_sqrt_pd(np.eye(k) - x.conj().T @ x)
+    """Affine chart matrix Z = X (I - X*X)^(-1/2) of an open-ball coordinate.
+
+    Z = XV diag(1/c) V*, with (XV, V, c) the factors of
+    :func:`~flagparam.linalg.ball_factors`.
+    """
+    xv, v, c = ball_factors(require_ball(x))
+    return (xv / c) @ v.conj().T
 
 
 def affine_to_ball(z):
-    """Open-ball coordinate X = Z (Z*Z + I)^(-1/2) of an affine chart matrix."""
-    z = as_matrix(z)
-    k = z.shape[1]
-    return z @ _inv_sqrt_pd(z.conj().T @ z + np.eye(k))
+    """Open-ball coordinate X = Z (Z*Z + I)^(-1/2) of an affine chart matrix.
+
+    With Z = U diag(t) V*, X = U diag(t / (1 + t^2)^1/2) V*.
+    """
+    u, t, vh = np.linalg.svd(as_matrix(z), full_matrices=False)
+    return (u * (t / np.hypot(1.0, t))) @ vh

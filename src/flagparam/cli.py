@@ -25,7 +25,7 @@ import numpy as np
 
 from . import iojson, verify
 from .coset import decompose_unitary, reconstruct_unitary
-from .density import GAP_TOL, deparametrize, parametrize, require_density
+from .density import GAP_TOL, TRACE_TOL, _hermitian_unit_trace, deparametrize, parametrize
 from .errors import (
     FlagparamError,
     GapAmbiguityError,
@@ -43,7 +43,6 @@ from .linalg import (
     unitarity_defect,
 )
 from .sampling import random_density_parameters
-from .density import TRACE_TOL
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -95,9 +94,9 @@ def cmd_param_to_rho(args):
 
 def cmd_rho_to_param(args):
     rho = iojson.matrix_from_json(_read_doc(args))
-    h = require_density(
-        rho, herm_tol=_env_tol(EPS_HERMITIAN), trace_tol=_env_tol(TRACE_TOL)
-    )
+    # Hermiticity and trace at the CLI tolerances; the PSD check runs on
+    # deparametrize's own eigh, so rho is factored once
+    h = _hermitian_unit_trace(rho, _env_tol(EPS_HERMITIAN), _env_tol(TRACE_TOL))
     # accepted within tolerance: hand the exactly normalized matrix on
     h = h / float(np.trace(h).real)
     gap_tol = args.gap_tol if args.gap_tol is not None else GAP_TOL

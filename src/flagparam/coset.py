@@ -261,18 +261,15 @@ def section_from_projective_factors(p, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
     u_tri, _ = lower_triangularize(g[n - k :, n - k :], rank_tol)
     cur = g.copy()
     cur[:, n - k :] = cur[:, n - k :] @ u_tri
-    vectors, factors = [], []
-    for _ in range(k):
+    vectors = []
+    section = np.eye(n, dtype=complex)
+    for i in range(k):
         x = cur[:, -1][:-1].copy()
         w = ball_unitary(x, psd_tol)
         vectors.append(x)
-        factors.append(w)
         cur = (w.conj().T @ cur)[:-1, :-1]
-    section = np.eye(n, dtype=complex)
-    for i, w in enumerate(factors):
-        embedded = np.eye(n, dtype=complex)
-        embedded[: n - i, : n - i] = w
-        section = section @ embedded
+        # factor i acts on the leading n - i columns only
+        section[:, : n - i] = section[:, : n - i] @ w
     return vectors, section
 
 

@@ -127,9 +127,28 @@ def ball_factors(x, psd_tol=PSD_TOL):
 
 
 def identity_plus(w, d):
-    """I + W diag(d) W*, Hermitian-symmetrized."""
+    """I + W diag(d) W*, Hermitian-symmetrized in place."""
     m = (w * d) @ w.conj().T
-    return (m + m.conj().T) / 2 + np.eye(w.shape[0])
+    m += m.conj().T
+    m *= 0.5
+    m.flat[:: w.shape[0] + 1] += 1.0
+    return m
+
+
+def block_rotation(top, x, bottom):
+    """The (r + k) square matrix [[top, X], [-X*, bottom]] for an r x k block X.
+
+    The layout shared by the ball unitary W(X) and the exponential of an
+    off-diagonal generator, whose diagonal blocks are both rank-min(r, k)
+    corrections of the identity (see :func:`identity_plus`).
+    """
+    r, k = x.shape
+    w = np.empty((r + k, r + k), dtype=complex)
+    w[:r, :r] = top
+    w[:r, r:] = x
+    w[r:, :r] = -x.conj().T
+    w[r:, r:] = bottom
+    return w
 
 
 def polar_unitary(y, rank_tol=RANK_TOL):
@@ -154,26 +173,22 @@ def polar_unitary(y, rank_tol=RANK_TOL):
 def lower_triangularize(y, rank_tol=RANK_TOL):
     """Unique U in U(k) with T = Y U lower triangular and positive diagonal.
 
-    Gram-Schmidt on the rows of Y (with a reorthogonalization sweep for
-    stability): orthonormal rows u_1..u_k built in order, U = (u_1*, ..., u_k*).
-    Raises :class:`SingularInputError` when a residual row norm falls to
-    ``rank_tol``.
+    Householder LQ: the QR factorization Y* = Q R gives Y Q = R*, lower
+    triangular, and absorbing the phases of R's diagonal into Q makes the
+    diagonal positive.  |r_jj| is the distance of row j of Y from the span
+    of the rows before it; raises :class:`SingularInputError` when it is at
+    or below ``rank_tol``.
     """
     y = as_square(y)
-    k = y.shape[0]
-    rows = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        x = y[j].astype(complex)
-        for _ in range(2):
-            for i in range(j):
-                x = x - (x @ rows[i].conj()) * rows[i]
-        nrm = np.linalg.norm(x)
-        if nrm <= rank_tol:
-            raise SingularInputError(
-                f"row {j} is dependent: residual norm {nrm:.3e} <= rank_tol"
-            )
-        rows[j] = x / nrm
-    u = rows.conj().T
+    q, r = np.linalg.qr(y.conj().T)
+    d = np.diagonal(r)
+    low = np.flatnonzero(np.abs(d) <= rank_tol)
+    if low.size:
+        j = int(low[0])
+        raise SingularInputError(
+            f"row {j} is dependent: residual norm {abs(d[j]):.3e} <= rank_tol"
+        )
+    u = q * (d / np.abs(d))
     return u, y @ u
 
 

@@ -457,13 +457,6 @@ class TestBallValidation:
         with pytest.raises(ValidationError):
             require_ball(x, margin=0.2)
 
-    def test_closed_ball_accepts_boundary_rejects_beyond(self):
-        from flagparam.charts import require_closed_ball
-
-        require_closed_ball(np.array([[1.0]]))
-        with pytest.raises(ValidationError):
-            require_closed_ball(np.array([[1.001]]))
-
 
 class TestAffineChart:
     def test_mutual_inverse(self):

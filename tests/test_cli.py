@@ -102,6 +102,14 @@ class TestRhoToParam:
         r = run_cli(["rho-to-param"], json.dumps(matrix_to_json(np.eye(4))))
         assert r.returncode == 2
 
+    def test_negative_eigenvalue(self):
+        # Hermitian with unit trace, so only the PSD check can reject it
+        v = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
+        rho = (v * [0.6, 0.3, 0.1 + 1e-6, -1e-6]) @ v.T
+        r = run_cli(["rho-to-param"], json.dumps(matrix_to_json((rho + rho.T) / 2)))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "NOT_DENSITY_PSD"
+
     def test_gap_ambiguity_exit_code(self):
         gap = 5e-6
         rho = np.diag([0.25 + gap / 2] * 2 + [0.25 - gap / 2] * 2)

@@ -13,9 +13,14 @@ from flagparam import (
     hermitian_sqrt,
     sqrt_complement,
 )
-from flagparam.lie import _eval_psd, _sinc_sqrt
 from flagparam.linalg import frobenius, hermiticity_defect, unitarity_defect
 from flagparam.sampling import random_ball_matrix
+
+
+def sinc_sqrt_reference(gram):
+    """sin(M^1/2) M^-1/2 of a PSD Gram matrix M, through its eigendecomposition."""
+    w, v = np.linalg.eigh(gram)
+    return (v * np.sinc(np.sqrt(np.clip(w, 0.0, None)) / np.pi)) @ v.conj().T
 
 
 class TestGeneratorMatrix:
@@ -65,8 +70,8 @@ class TestExpGenerator:
         for _ in range(50):
             k1, k2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             b = random_ball_matrix(k1, k2, rng, radius=rng.uniform(0.0, 3.0))
-            right = b @ _eval_psd(_sinc_sqrt, b.conj().T @ b)
-            left = _eval_psd(_sinc_sqrt, b @ b.conj().T) @ b
+            right = b @ sinc_sqrt_reference(b.conj().T @ b)
+            left = sinc_sqrt_reference(b @ b.conj().T) @ b
             assert frobenius(exp_generator(b)[:k1, k1:] - right) <= 1e-11
             assert frobenius(right - left) <= 1e-11
 
@@ -110,6 +115,40 @@ class TestGeneratorBall:
     def test_ball_to_generator_rejects_boundary(self):
         with pytest.raises(NotPSDError):
             ball_to_generator(np.array([[1.0]]))
+
+
+class TestSmallNorm:
+    # near zero the block functions have removable singularities; the
+    # singular-value forms need no series there and keep relative accuracy
+    @pytest.mark.parametrize("norm", [1e-12, 1e-9, 1e-6])
+    def test_against_series_oracle(self, norm):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            k1, k2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            b = rng.standard_normal((k1, k2)) + 1j * rng.standard_normal((k1, k2))
+            b *= norm / np.linalg.norm(b, 2)
+            oracle = expm_reference(generator_matrix(b))
+            u = exp_generator(b)
+            assert frobenius(u - oracle) <= 1e-14
+            assert frobenius(u[:k1, k1:] - oracle[:k1, k1:]) <= 1e-14 * norm
+            x = generator_to_ball(b)
+            assert frobenius(x - oracle[:k1, k1:]) <= 1e-14 * norm
+            assert frobenius(ball_to_generator(x) - b) <= 1e-14 * norm
+
+    @pytest.mark.parametrize("norm", [1e-12, 1e-9, 1e-6])
+    def test_rank_one_closed_forms(self, norm):
+        # B = t a c* with unit a, c: X = sin(t) a c*, and arcsin inverts it
+        rng = np.random.default_rng(42)
+        a = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+        c = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+        ac = (a / np.linalg.norm(a)) @ (c / np.linalg.norm(c)).conj().T
+        x = generator_to_ball(norm * ac)
+        assert frobenius(x - np.sin(norm) * ac) <= 1e-15 * norm
+        b = ball_to_generator(np.sin(norm) * ac)
+        assert frobenius(b - np.arcsin(np.sin(norm)) * ac) <= 1e-15 * norm
+        u = exp_generator(np.array([[norm]]))
+        expected = np.array([[np.cos(norm), np.sin(norm)], [-np.sin(norm), np.cos(norm)]])
+        np.testing.assert_allclose(u, expected, rtol=1e-15, atol=0)
 
 
 class TestSqrtComplement:

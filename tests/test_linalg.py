@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import flagparam
 from flagparam import (
     NotPSDError,
     SingularInputError,
@@ -124,8 +130,41 @@ class TestLowerTriangularize:
         with pytest.raises(SingularInputError):
             lower_triangularize(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_matches_gram_schmidt_reference(self):
+        # the row-by-row construction U = (u_1*, ..., u_k*), with u_j the
+        # normalized residual of row j against the rows before it
+        def reference(y):
+            rows = np.zeros(y.shape, dtype=complex)
+            for j in range(y.shape[0]):
+                x = y[j].astype(complex)
+                for _ in range(2):
+                    for i in range(j):
+                        x = x - (x @ rows[i].conj()) * rows[i]
+                rows[j] = x / np.linalg.norm(x)
+            return rows.conj().T
+
+        rng = np.random.default_rng(23)
+        for k in range(1, 9):
+            y = random_complex(rng, k, k)
+            u, t = lower_triangularize(y)
+            assert frobenius(u - reference(y)) <= 1e-12
+            assert frobenius(t - y @ reference(y)) <= 1e-12
+
 
 class TestExpmReference:
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy serves only the oracle and is imported on its first call
+        src = str(Path(flagparam.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, flagparam, flagparam.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
+
     def test_zero(self):
         np.testing.assert_allclose(expm_reference(np.zeros((3, 3))), np.eye(3), atol=1e-14)
 
