@@ -9,9 +9,9 @@ defined section (first valid chart in a fixed priority order) are provided.
 
 Projectors are the API boundary.  Internally the chart maps work on an
 orthonormal frame (any n x k matrix with orthonormal columns spanning the
-subspace): :func:`select_frame_chart` and :func:`frame_chart_coordinates`
-depend on the frame only through its span, and the projector versions are
-thin wrappers that recover a frame first.
+subspace): the chart and the ball coordinate depend on the frame only
+through its span, and the projector versions are thin wrappers that recover
+a frame first.
 """
 
 from __future__ import annotations
@@ -202,19 +202,9 @@ def frame_chart_factors(f, sigma, rank_tol=RANK_TOL):
     return xv @ wh, xv, wh.conj().T, c
 
 
-def frame_chart_coordinates(f, sigma, rank_tol=RANK_TOL):
-    """Ball coordinate in chart sigma of the span of an orthonormal frame.
-
-    The polar normalization of :func:`frame_chart_factors`: independent of
-    the frame choice (f -> f @ q for unitary q).  Raises
-    :class:`OutOfChartError` outside the chart.
-    """
-    return frame_chart_factors(f, sigma, rank_tol)[0]
-
-
 def chart_coordinates(p, sigma, rank_tol=RANK_TOL):
     """Ball coordinate of a subspace, given by its projector, in chart sigma."""
-    return frame_chart_coordinates(frame_of_projector(p), sigma, rank_tol)
+    return frame_chart_factors(frame_of_projector(p), sigma, rank_tol)[0]
 
 
 def chart_point(x, sigma, psd_tol=PSD_TOL):
@@ -236,7 +226,9 @@ def chart_point(x, sigma, psd_tol=PSD_TOL):
 def select_frame_chart(f, rank_tol=RANK_TOL):
     """First chart, in priority order, containing the span of a frame.
 
-    A chart contains the span when its k designated rows of f have smallest
+    Returns ``(sigma, (X, XV, V, c))``, with the factors of
+    :func:`frame_chart_factors` from the SVD that accepted the chart.  A
+    chart contains the span when its k designated rows of f have smallest
     singular value above ``rank_tol``.  The priority order puts the
     lexicographically smallest top (non-designated) row set first, so a
     depth-first search over top sets, trying each row in the top before
@@ -251,7 +243,7 @@ def select_frame_chart(f, rank_tol=RANK_TOL):
 
     Each state first tries its smallest completion, which is the identity
     chart at the start, so a frame in the identity chart costs one k x k
-    SVD.  Without dead ends the search is one pass over the rows.
+    SVD in all.  Without dead ends the search is one pass over the rows.
     """
     f = as_matrix(f)
     n, k = f.shape
@@ -268,9 +260,13 @@ def select_frame_chart(f, rank_tol=RANK_TOL):
         need = n - k - len(top)
         # After a row joins the top the smallest completion is unchanged,
         # so it is tried only in a state reached by leaving a row out.
-        chart = top + list(range(i, i + need))
-        if fresh and passes(chart):
-            return tuple(j + 1 for j in chart + outside(chart))
+        if fresh:
+            chart = top + list(range(i, i + need))
+            sigma = tuple(j + 1 for j in chart + outside(chart))
+            try:
+                return sigma, frame_chart_factors(f, sigma, rank_tol)
+            except OutOfChartError:
+                pass
         fresh = not (need > 1 and passes(top + [i]))
         if not fresh:
             top.append(i)
@@ -290,26 +286,27 @@ def select_chart(p, rank_tol=RANK_TOL):
 
     Together with :func:`local_section` this realizes a globally defined
     section.  Raises :class:`NoChartError` only when no chart passes
-    ``rank_tol``; for an orthonormal frame some k x k block has smallest
-    singular value at least C(n, k)^(-1/2) (Cauchy-Binet), so this needs a
-    malformed projector whenever that bound exceeds ``rank_tol``.
+    ``rank_tol``; for an orthonormal frame the maximal-volume k x k block
+    has smallest singular value at least (1 + k(n - k))^(-1/2) (Goreinov and
+    Tyrtyshnikov 2001), so this needs a malformed projector whenever that
+    bound exceeds ``rank_tol``.
     """
-    return select_frame_chart(frame_of_projector(p), rank_tol)
+    return select_frame_chart(frame_of_projector(p), rank_tol)[0]
 
 
-def local_section(p, sigma, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
+def local_section(p, sigma, rank_tol=RANK_TOL):
     """Canonical unitary over a subspace in chart sigma.
 
     Satisfies the section law: the span of its last k columns is the input
     subspace.
     """
-    x = chart_coordinates(p, sigma, rank_tol)
-    return _scatter_rows(ball_unitary(x, psd_tol), sigma)
+    return _scatter_rows(ball_unitary(chart_coordinates(p, sigma, rank_tol)), sigma)
 
 
-def global_section(p, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
+def global_section(p, rank_tol=RANK_TOL):
     """Canonical unitary over a subspace, using the first valid chart."""
-    return local_section(p, select_chart(p, rank_tol), rank_tol, psd_tol)
+    sigma, (x, *_) = select_frame_chart(frame_of_projector(p), rank_tol)
+    return _scatter_rows(ball_unitary(x), sigma)
 
 
 def ball_to_affine(x):

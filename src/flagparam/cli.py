@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import iojson, verify
-from .coset import decompose_unitary, reconstruct_unitary
+from .coset import decompose_unitary, reconstruct_unitary, validate_profile
 from .density import GAP_TOL, TRACE_TOL, _hermitian_unit_trace, deparametrize, parametrize
 from .errors import (
     FlagparamError,
@@ -81,8 +81,6 @@ def _parse_profile(text, n=None):
         ks = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValidationError(f"bad profile {text!r}", code="PROFILE_VALUES")
-    from .coset import validate_profile
-
     return validate_profile(ks, n=n)
 
 

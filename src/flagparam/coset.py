@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     EPS_UNITARY,
-    PSD_TOL,
     RANK_TOL,
     as_matrix,
     as_square,
@@ -35,7 +34,6 @@ from .linalg import (
 )
 from .charts import (
     ball_unitary,
-    frame_chart_coordinates,
     frame_chart_factors,
     frame_of_projector,
     identity_chart,
@@ -164,7 +162,7 @@ def decompose_unitary(
     and mapped to its ball coordinate X, the section W(X) is divided out of
     the rows gathered by the chart, and the upper-left block carries on.
     W(X)* is applied in factored form from the (XV, V, c) factors that the
-    chart map reads off the SVD of the chart block (see
+    chart search reads off the SVD of the chart block it accepts (see
     :func:`~flagparam.charts.frame_chart_factors`): only the two diagonal
     blocks of the product are formed, each as a rank-k_j update, and
     neither W(X) nor a projector is built.  Returns the flag coordinates
@@ -177,9 +175,7 @@ def decompose_unitary(
     xs, charts, residues = [], [], []
     for nj, kj in level_dimensions(ks):
         r = nj - kj
-        frame = cur[:, r:]
-        sigma = select_frame_chart(frame, rank_tol)
-        x, xv, v, c = frame_chart_factors(frame, sigma, rank_tol)
+        sigma, (x, xv, v, c) = select_frame_chart(cur[:, r:], rank_tol)
         rows = cur[np.array(sigma) - 1, :]
         top, bottom = rows[:r], rows[r:]
         xvh, vh = xv.conj().T, v.conj().T
@@ -197,7 +193,7 @@ def decompose_unitary(
     return FlagCoordinates(ks, tuple(xs), tuple(charts)), BlockDiagonalUnitary(blocks)
 
 
-def reconstruct_unitary(coords: FlagCoordinates, h=None, psd_tol=PSD_TOL):
+def reconstruct_unitary(coords: FlagCoordinates, h=None):
     """Product of the embedded per-level sections times a block-diagonal factor.
 
     Inverse of :func:`decompose_unitary`: feeding its output back returns the
@@ -215,7 +211,7 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None, psd_tol=PSD_TOL):
     g = np.eye(coords.n, dtype=complex)
     for (nj, kj), x, sigma in zip(level_dimensions(ks), coords.xs, coords.charts):
         r = nj - kj
-        xv, v, c = ball_factors(x, psd_tol)
+        xv, v, c = ball_factors(x)
         cols = g[:, np.array(sigma) - 1]
         left, right = cols[:, :r], cols[:, r:]
         left_xv, right_v = left @ xv, right @ v
@@ -231,16 +227,16 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None, psd_tol=PSD_TOL):
     return g
 
 
-def flag_section(coords: FlagCoordinates, psd_tol=PSD_TOL):
+def flag_section(coords: FlagCoordinates):
     """Canonical unitary over a flag-manifold point (identity residue).
 
     Decomposing ``flag_section(coords) @ v`` for any block-diagonal v returns
     the same coordinates: the section represents the coset.
     """
-    return reconstruct_unitary(coords, None, psd_tol)
+    return reconstruct_unitary(coords)
 
 
-def section_from_projective_factors(p, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
+def section_from_projective_factors(p, rank_tol=RANK_TOL):
     """Section over a k-plane assembled from k rank-one ball factors.
 
     Only defined on the identity chart.  The plane's section is
@@ -256,8 +252,8 @@ def section_from_projective_factors(p, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
     n, k = f.shape
     if k == n:
         raise ValidationError("the full plane has no chart coordinate", code="BAD_DIMENSION")
-    x0 = frame_chart_coordinates(f, identity_chart(n), rank_tol)  # raises OutOfChartError
-    g = ball_unitary(x0, psd_tol)
+    x0 = frame_chart_factors(f, identity_chart(n), rank_tol)[0]  # raises OutOfChartError
+    g = ball_unitary(x0)
     u_tri, _ = lower_triangularize(g[n - k :, n - k :], rank_tol)
     cur = g.copy()
     cur[:, n - k :] = cur[:, n - k :] @ u_tri
@@ -265,7 +261,7 @@ def section_from_projective_factors(p, rank_tol=RANK_TOL, psd_tol=PSD_TOL):
     section = np.eye(n, dtype=complex)
     for i in range(k):
         x = cur[:, -1][:-1].copy()
-        w = ball_unitary(x, psd_tol)
+        w = ball_unitary(x)
         vectors.append(x)
         cur = (w.conj().T @ cur)[:-1, :-1]
         # factor i acts on the leading n - i columns only

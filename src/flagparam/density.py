@@ -89,14 +89,14 @@ class DensityParameters:
         return self.spectrum.n
 
 
-def parametrize(params: DensityParameters, psd_tol=PSD_TOL):
+def parametrize(params: DensityParameters):
     """Density matrix U D U* with U the canonical section over the flag point.
 
     The result does not depend on which section is used: conjugating U by any
     block-diagonal unitary matching the profile leaves it unchanged, because
     such factors commute with the degenerate diagonal.
     """
-    u = flag_section(params.coords, psd_tol)
+    u = flag_section(params.coords)
     rho = (u * params.spectrum.diagonal()) @ u.conj().T
     return (rho + rho.conj().T) / 2
 

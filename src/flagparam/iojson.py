@@ -62,6 +62,13 @@ def params_to_json(params: DensityParameters) -> dict:
     }
 
 
+def _json_array(value, kinds, message):
+    """A JSON array, as a tuple, whose entries' exact types are in ``kinds`` (so no bools)."""
+    if isinstance(value, list) and all(type(v) in kinds for v in value):
+        return tuple(value)
+    raise ValidationError(f"{message}, got {value!r}", code="BAD_JSON")
+
+
 def params_from_json(doc, gap_tol=None) -> DensityParameters:
     if not isinstance(doc, dict):
         raise ValidationError("parameter document must be an object", code="BAD_JSON")
@@ -76,7 +83,7 @@ def params_from_json(doc, gap_tol=None) -> DensityParameters:
     for entry in levels:
         if not isinstance(entry, dict) or "chart" not in entry or "X" not in entry:
             raise ValidationError("each level needs 'chart' and 'X'", code="BAD_JSON")
-        charts.append(tuple(int(s) for s in entry["chart"]))
+        charts.append(_json_array(entry["chart"], (int,), "chart must be an array of integers"))
         xs.append(matrix_from_json(entry["X"]))
     if charts and len(charts[0]) != sum(profile):
         raise ValidationError(
@@ -86,7 +93,8 @@ def params_from_json(doc, gap_tol=None) -> DensityParameters:
         )
     coords = FlagCoordinates(profile, tuple(xs), tuple(charts))
     kwargs = {} if gap_tol is None else {"gap_tol": gap_tol}
-    spectrum = Spectrum(profile, tuple(float(v) for v in doc["lambdas"]), **kwargs)
+    lambdas = _json_array(doc["lambdas"], (int, float), "lambdas must be an array of numbers")
+    spectrum = Spectrum(profile, lambdas, **kwargs)
     return DensityParameters(spectrum, coords)
 
 

@@ -108,22 +108,22 @@ def ball_factors(x, psd_tol=PSD_TOL):
     """Factored square roots of a closed-ball coordinate X (r x k, X*X <= I).
 
     From the thin SVD X = U S V*, returns (XV, V, c) with V the k x p right
-    singular vectors (p = min(r, k)) and c = (1 - S^2)^1/2 the cosines, so
-    that X = XV V* and
+    singular vectors (p = min(r, k)) and c = ((1 - S)(1 + S))^1/2 the
+    cosines, so that X = XV V* and
 
         (I - X X*)^1/2 = I + XV diag(-1 / (1 + c)) (XV)*,
         (I - X* X)^1/2 = I + V diag(c - 1) V*.
 
-    Both are rank-p corrections of the identity; -1/(1 + c) has no
-    cancellation anywhere in the closed ball.  Raises :class:`NotPSDError`
-    when X*X has an eigenvalue above 1 + ``psd_tol``; singular values up to
-    that bound count as 1.
+    Both are rank-p corrections of the identity; neither c nor -1/(1 + c)
+    cancels anywhere in the closed ball.  Raises :class:`NotPSDError` when
+    X*X has an eigenvalue above 1 + ``psd_tol``; singular values up to that
+    bound count as 1.
     """
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     if s.size and s[0] ** 2 > 1.0 + psd_tol:
         raise NotPSDError(f"X*X has eigenvalue {s[0]**2:.6e} above 1")
     s = np.minimum(s, 1.0)
-    return u * s, vh.conj().T, np.sqrt(1.0 - s**2)
+    return u * s, vh.conj().T, np.sqrt((1.0 - s) * (1.0 + s))
 
 
 def identity_plus(w, d):

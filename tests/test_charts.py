@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from flagparam import (
     projector_of_unitary,
     select_chart,
 )
-from flagparam.charts import select_frame_chart, validate_chart
+from flagparam.charts import frame_chart_factors, select_frame_chart, validate_chart
 from flagparam.linalg import frobenius, unitarity_defect
 from flagparam.sampling import random_ball_matrix
 
@@ -365,7 +367,7 @@ class TestFrameChartSelection:
             k = int(rng.integers(1, n))
             f = make_frame(rng, n, k)
             expected = scan_chart(f)
-            got = select_frame_chart(f)
+            got = select_frame_chart(f)[0]
             if got != expected:
                 mismatches.append((n, k, expected, got))
             off_identity += expected != identity_chart(n)
@@ -398,14 +400,14 @@ class TestFrameChartSelection:
         # a search that keeps the short last row finds no partners for it
         f = short_last_row_frame(q)
         assert scan_chart(f) == chart
-        assert select_frame_chart(f) == chart
+        assert select_frame_chart(f)[0] == chart
 
     def test_backtracking(self):
         # rows 2 and 3 together span the column, so row 1 may join the top;
         # neither passes alone, so the search must take row 1 out again
         f = orthonormalize(np.array([[1.0], [0.8e-8], [0.8e-8]], dtype=complex))
         assert scan_chart(f) == (2, 3, 1)
-        assert select_frame_chart(f) == (2, 3, 1)
+        assert select_frame_chart(f)[0] == (2, 3, 1)
 
     def test_no_chart(self):
         with pytest.raises(NoChartError):
@@ -415,7 +417,34 @@ class TestFrameChartSelection:
         rng = np.random.default_rng(42)
         for _ in range(50):
             f = sparse_frame(rng, 6, 3)
-            assert select_frame_chart(f @ haar_unitary(3, rng)) == select_frame_chart(f)
+            assert select_frame_chart(f @ haar_unitary(3, rng))[0] == select_frame_chart(f)[0]
+
+    @staticmethod
+    def drawn_frames(make_frame, seed, count):
+        """The frames that :meth:`compare` draws for the same arguments."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n))
+            yield make_frame(rng, n, k)
+
+    def test_returned_factors_match_chart(self):
+        # the factors must come from the accepted chart's own SVD, never
+        # from a completion the search tried and rejected
+        frames = [
+            short_last_row_frame(np.array([[-1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2)),
+            short_last_row_frame(
+                np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+            ),
+            orthonormalize(np.array([[1.0], [0.8e-8], [0.8e-8]], dtype=complex)),
+        ]
+        pools = [(sparse_frame, 40), (near_tolerance_frame, 41), (small_row_frame, 43)]
+        for make_frame, seed in pools:
+            frames.extend(self.drawn_frames(make_frame, seed, 1500))
+        for f in frames:
+            sigma, factors = select_frame_chart(f)
+            expected = frame_chart_factors(f, sigma)
+            assert all(np.array_equal(a, b) for a, b in zip(factors, expected, strict=True))
 
 
 class TestSections:
@@ -477,6 +506,18 @@ class TestAffineChart:
         z = ball_to_affine(x)
         expected = x @ np.linalg.inv(hermitian_sqrt(np.eye(2) - x.conj().T @ x))
         np.testing.assert_allclose(z, expected, atol=1e-11)
+
+    @pytest.mark.parametrize("d", [2.0**-27, 1e-6, 1e-8])
+    def test_near_boundary_relative_accuracy(self, d):
+        # the cosine of x = 1 - d is ((1 - x)(1 + x))^1/2: forming 1 - x^2
+        # would cancel about log10(1/d) digits
+        x = 1.0 - d
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = decimal.Decimal(x) / (1 - decimal.Decimal(x) ** 2).sqrt()
+            z = ball_to_affine([[x]])[0, 0]
+            assert z.imag == 0.0
+            assert abs((decimal.Decimal(z.real) - exact) / exact) <= decimal.Decimal(1e-15)
 
     def test_affine_chart_rejects_boundary(self):
         with pytest.raises(ValidationError):

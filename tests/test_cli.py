@@ -69,6 +69,20 @@ class TestParamToRho:
         assert r.returncode == 2
         assert json.loads(r.stdout)["error"]["code"] == "PROFILE_SUM"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("chart", "ab"), ("chart", [1, "x", 3, 4]), ("lambdas", 5), ("lambdas", ["x", 0.4])],
+    )
+    def test_malformed_field(self, field, value):
+        doc = golden_31_params()
+        if field == "chart":
+            doc["levels"][0]["chart"] = value
+        else:
+            doc["lambdas"] = value
+        r = run_cli(["param-to-rho"], json.dumps(doc))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "BAD_JSON"
+
     def test_files_in_and_out(self, tmp_path):
         infile = tmp_path / "params.json"
         outfile = tmp_path / "rho.json"

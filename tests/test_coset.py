@@ -25,7 +25,7 @@ from flagparam import (
     section_from_projective_factors,
     validate_profile,
 )
-from flagparam.charts import frame_chart_coordinates, select_frame_chart
+from flagparam.charts import select_frame_chart
 from flagparam.coset import level_dimensions
 from flagparam.linalg import block_diag, frobenius, unitarity_defect
 from flagparam.sampling import (
@@ -137,6 +137,24 @@ class TestDecompose:
                 coords, h = decompose_unitary(g, profile)
                 assert frobenius(reconstruct_unitary(coords, h) - g) <= 1e-10
 
+    @pytest.mark.parametrize("profile", [(1,) * 8, (2, 2, 2, 2)])
+    def test_one_svd_per_level(self, profile, monkeypatch):
+        # the chart search hands the SVD that accepted the chart to the peel
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        rng = np.random.default_rng(34)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for _ in range(5):
+            g = haar_unitary(8, rng)
+            calls.clear()
+            coords, _ = decompose_unitary(g, profile)
+            assert all(sigma == identity_chart(len(sigma)) for sigma in coords.charts)
+            assert len(calls) == len(profile) - 1
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             decompose_unitary(np.diag([2.0, 1.0]), (1, 1))
@@ -163,8 +181,7 @@ def dense_decompose(g, profile):
     for nj, kj in level_dimensions(profile):
         r = nj - kj
         frame = cur[:, r:]
-        sigma = select_frame_chart(frame)
-        x = frame_chart_coordinates(frame, sigma)
+        sigma, (x, *_) = select_frame_chart(frame)
         res = ball_unitary(x).conj().T @ cur[np.array(sigma) - 1, :]
         xs.append(x)
         charts.append(sigma)
