@@ -86,6 +86,16 @@ def _scatter_rows(m, sigma):
     return out
 
 
+def _gather_rows(m, sigma):
+    """permutation_unitary(sigma).T @ m: the rows of m in chart order.
+
+    Returns ``m`` itself, not a copy, on the identity chart.
+    """
+    if sigma == identity_chart(len(sigma)):
+        return m
+    return m[np.array(sigma) - 1]
+
+
 def permutation_unitary(sigma):
     """Permutation matrix sending basis vector e_j to e_{sigma(j)}."""
     sigma = tuple(int(s) for s in sigma)
@@ -123,7 +133,11 @@ def ball_unitary(x, psd_tol=PSD_TOL):
     callers that need one.  A 1-D ``x`` is treated as a single column.
     """
     x = as_matrix(x)
-    xv, v, c = ball_factors(x, psd_tol)
+    return _section_of_factors(x, *ball_factors(x, psd_tol))
+
+
+def _section_of_factors(x, xv, v, c):
+    """The dense W(X) of :func:`ball_unitary` from factors (X, XV, V, c) already at hand."""
     return block_rotation(identity_plus(xv, -1.0 / (1.0 + c)), x, identity_plus(v, c - 1.0))
 
 
@@ -178,10 +192,10 @@ def frame_of_projector(p, tol=1e-8):
 def frame_chart_factors(f, sigma, rank_tol=RANK_TOL):
     """Ball coordinate X of the span of a frame in chart sigma, with its section factors.
 
-    Gathers the rows of f by sigma.  The bottom k x k block B has the SVD
-    B* = V' S W*, and its polar factor u = V' W* turns the frame so that
-    the bottom block becomes W S W* = (I - X*X)^1/2; what remains on top is
-    X = F_top u.  The singular values S are the cosines of the principal
+    Gathers the rows of f by sigma (none on the identity chart).  The
+    bottom k x k block B has the SVD B* = V' S W*, and its polar factor
+    u = V' W* turns the frame so that the bottom block becomes
+    W S W* = (I - X*X)^1/2; what remains on top is X = F_top u.  The singular values S are the cosines of the principal
     angles between the span and the chart's coordinate plane (Bjorck and
     Golub 1973), so (XV, V, c) = (F_top V', W, S) are the factors of
     :func:`~flagparam.linalg.ball_factors` without a second SVD.  Returns
@@ -190,8 +204,13 @@ def frame_chart_factors(f, sigma, rank_tol=RANK_TOL):
     """
     f = as_matrix(f)
     n, k = f.shape
-    sigma = validate_chart(sigma, k, n)
-    f_perm = f[np.array(sigma) - 1, :]
+    return _chart_factors(f, validate_chart(sigma, k, n), rank_tol)
+
+
+def _chart_factors(f, sigma, rank_tol):
+    """:func:`frame_chart_factors` for a chart already known to be valid."""
+    n, k = f.shape
+    f_perm = _gather_rows(f, sigma)
     v_left, c, wh = np.linalg.svd(f_perm[n - k :, :].conj().T)
     if c[-1] <= rank_tol:
         raise OutOfChartError(
@@ -243,9 +262,15 @@ def select_frame_chart(f, rank_tol=RANK_TOL):
 
     Each state first tries its smallest completion, which is the identity
     chart at the start, so a frame in the identity chart costs one k x k
-    SVD in all.  Without dead ends the search is one pass over the rows.
+    SVD in all and no row gather.  Without dead ends the search is one pass
+    over the rows.  The completions it builds are valid charts by
+    construction and are not re-validated.
     """
-    f = as_matrix(f)
+    return _select_frame_chart(as_matrix(f), rank_tol)
+
+
+def _select_frame_chart(f, rank_tol):
+    """:func:`select_frame_chart` for a frame already coerced by ``as_matrix``."""
     n, k = f.shape
 
     def outside(top):
@@ -261,10 +286,13 @@ def select_frame_chart(f, rank_tol=RANK_TOL):
         # After a row joins the top the smallest completion is unchanged,
         # so it is tried only in a state reached by leaving a row out.
         if fresh:
-            chart = top + list(range(i, i + need))
-            sigma = tuple(j + 1 for j in chart + outside(chart))
+            if top or i:
+                chart = top + list(range(i, i + need))
+                sigma = tuple(j + 1 for j in chart + outside(chart))
+            else:  # the first completion
+                sigma = identity_chart(n)
             try:
-                return sigma, frame_chart_factors(f, sigma, rank_tol)
+                return sigma, _chart_factors(f, sigma, rank_tol)
             except OutOfChartError:
                 pass
         fresh = not (need > 1 and passes(top + [i]))
@@ -300,13 +328,14 @@ def local_section(p, sigma, rank_tol=RANK_TOL):
     Satisfies the section law: the span of its last k columns is the input
     subspace.
     """
-    return _scatter_rows(ball_unitary(chart_coordinates(p, sigma, rank_tol)), sigma)
+    factors = frame_chart_factors(frame_of_projector(p), sigma, rank_tol)
+    return _scatter_rows(_section_of_factors(*factors), sigma)
 
 
 def global_section(p, rank_tol=RANK_TOL):
     """Canonical unitary over a subspace, using the first valid chart."""
-    sigma, (x, *_) = select_frame_chart(frame_of_projector(p), rank_tol)
-    return _scatter_rows(ball_unitary(x), sigma)
+    sigma, factors = select_frame_chart(frame_of_projector(p), rank_tol)
+    return _scatter_rows(_section_of_factors(*factors), sigma)
 
 
 def ball_to_affine(x):

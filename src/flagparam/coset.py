@@ -15,7 +15,7 @@ Also here: the section of a Grassmannian assembled from rank-one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +33,13 @@ from .linalg import (
     spectral_norm,
 )
 from .charts import (
+    _gather_rows,
+    _section_of_factors,
+    _select_frame_chart,
     ball_unitary,
     frame_chart_factors,
     frame_of_projector,
     identity_chart,
-    select_frame_chart,
     validate_chart,
 )
 
@@ -65,18 +67,43 @@ def level_dimensions(profile):
     return [(int(sizes[j]), int(profile[j])) for j in range(len(profile) - 1, 0, -1)]
 
 
+def _require_level_in_ball(x):
+    top = spectral_norm(x)
+    if top >= 1.0:
+        raise ValidationError(
+            f"level coordinate has spectral norm {top:.6f} >= 1", code="BALL_NORM"
+        )
+
+
+def _unchecked(cls, **values):
+    """An instance of a frozen dataclass holding ``values``, skipping ``__post_init__``.
+
+    For results the peel has just built: their invariants hold by
+    construction, so re-running the public checks would only cost time.
+    """
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class FlagCoordinates:
     """Chart data of a point of the flag manifold for a given profile.
 
     ``xs`` holds one ball coordinate per level, outermost level first;
     ``charts`` records which chart produced each coordinate (needed to map
-    back, and for reproducible serialization).
+    back, and for reproducible serialization).  ``factors`` holds each
+    level's (XV, V, c) section factors (see
+    :func:`~flagparam.linalg.ball_factors`): from the chart-block SVD when
+    :func:`decompose_unitary` built the coordinates, from one thin SVD of X
+    otherwise.  :func:`reconstruct_unitary` applies them without an SVD.
     """
 
     profile: tuple
     xs: tuple
     charts: tuple
+    factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         profile = validate_profile(self.profile)
@@ -97,14 +124,11 @@ class FlagCoordinates:
                     f"got {x.shape}",
                     code="BAD_SHAPE",
                 )
-            top = spectral_norm(x)
-            if top >= 1.0:
-                raise ValidationError(
-                    f"level coordinate has spectral norm {top:.6f} >= 1", code="BALL_NORM"
-                )
+            _require_level_in_ball(x)
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "charts", charts)
+        object.__setattr__(self, "factors", tuple(ball_factors(x) for x in xs))
 
     @property
     def n(self):
@@ -160,23 +184,28 @@ def decompose_unitary(
     Peels levels from the outside in: the last k_j columns of the current
     n_j x n_j block are a frame of the level's plane; it is chart-selected
     and mapped to its ball coordinate X, the section W(X) is divided out of
-    the rows gathered by the chart, and the upper-left block carries on.
-    W(X)* is applied in factored form from the (XV, V, c) factors that the
-    chart search reads off the SVD of the chart block it accepts (see
+    the rows gathered by the chart (none are gathered on the identity
+    chart), and the upper-left block carries on.  W(X)* is applied in
+    factored form from the (XV, V, c) factors that the chart search reads
+    off the SVD of the chart block it accepts (see
     :func:`~flagparam.charts.frame_chart_factors`): only the two diagonal
     blocks of the product are formed, each as a rank-k_j update, and
-    neither W(X) nor a projector is built.  Returns the flag coordinates
-    and the unique block-diagonal residue; the coordinates depend only on
-    the coset of g modulo block-diagonal factors.
+    neither W(X) nor a projector is built.  The factors travel with the
+    coordinates, so :func:`reconstruct_unitary` reuses them.  Returns the
+    flag coordinates and the unique block-diagonal residue; the coordinates
+    depend only on the coset of g modulo block-diagonal factors.  Both are
+    built without re-running their constructors' checks, which hold by
+    construction; each level's ball check runs during the peel.
     """
     g = require_unitary(g, unit_tol)
     ks = validate_profile(profile, n=g.shape[0])
     cur = g
-    xs, charts, residues = [], [], []
+    xs, charts, factors, residues = [], [], [], []
     for nj, kj in level_dimensions(ks):
         r = nj - kj
-        sigma, (x, xv, v, c) = select_frame_chart(cur[:, r:], rank_tol)
-        rows = cur[np.array(sigma) - 1, :]
+        sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:], rank_tol)
+        _require_level_in_ball(x)
+        rows = _gather_rows(cur, sigma)
         top, bottom = rows[:r], rows[r:]
         xvh, vh = xv.conj().T, v.conj().T
         # [[A, -X], [X*, C]] @ rows with A = I + XV diag(-1/(1+c)) (XV)*,
@@ -189,8 +218,11 @@ def decompose_unitary(
         )
         xs.append(x)
         charts.append(sigma)
-    blocks = (cur,) + tuple(reversed(residues))
-    return FlagCoordinates(ks, tuple(xs), tuple(charts)), BlockDiagonalUnitary(blocks)
+        factors.append((xv, v, c))
+    coords = _unchecked(
+        FlagCoordinates, profile=ks, xs=tuple(xs), charts=tuple(charts), factors=tuple(factors)
+    )
+    return coords, _unchecked(BlockDiagonalUnitary, blocks=(cur,) + tuple(reversed(residues)))
 
 
 def reconstruct_unitary(coords: FlagCoordinates, h=None):
@@ -198,9 +230,10 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
 
     Inverse of :func:`decompose_unitary`: feeding its output back returns the
     original unitary.  Each level's section acts on the leading n_j columns
-    only, as two rank-min(r, k) updates built from the thin SVD of X (see
-    :func:`~flagparam.linalg.ball_factors`), and ``h`` (identity when
-    omitted) block by block.
+    only, as two rank-min(r, k) updates built from the level's (XV, V, c)
+    in ``coords.factors``, so no SVD is taken; on the identity chart the
+    columns are updated in place, without a gather.  ``h`` (identity when
+    omitted) is applied block by block.
     """
     ks = coords.profile
     if h is not None and h.profile != ks:
@@ -209,15 +242,17 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
             code="PROFILE_SUM",
         )
     g = np.eye(coords.n, dtype=complex)
-    for (nj, kj), x, sigma in zip(level_dimensions(ks), coords.xs, coords.charts):
+    for (nj, kj), sigma, (xv, v, c) in zip(level_dimensions(ks), coords.charts, coords.factors):
         r = nj - kj
-        xv, v, c = ball_factors(x)
-        cols = g[:, np.array(sigma) - 1]
+        in_place = sigma == identity_chart(nj)
+        cols = g[:, :nj] if in_place else g[:, np.array(sigma) - 1]
         left, right = cols[:, :r], cols[:, r:]
         left_xv, right_v = left @ xv, right @ v
         # cols @ [[A, X], [-X*, C]], with A, C and X factored as in the peel
-        g[:, :r] = left + ((-1.0 / (1.0 + c)) * left_xv - right_v) @ xv.conj().T
-        g[:, r:nj] = right + (left_xv + (c - 1.0) * right_v) @ v.conj().T
+        left += ((-1.0 / (1.0 + c)) * left_xv - right_v) @ xv.conj().T
+        right += (left_xv + (c - 1.0) * right_v) @ v.conj().T
+        if not in_place:
+            g[:, :nj] = cols
     if h is not None:
         start = 0
         for b in h.blocks:
@@ -252,8 +287,8 @@ def section_from_projective_factors(p, rank_tol=RANK_TOL):
     n, k = f.shape
     if k == n:
         raise ValidationError("the full plane has no chart coordinate", code="BAD_DIMENSION")
-    x0 = frame_chart_factors(f, identity_chart(n), rank_tol)[0]  # raises OutOfChartError
-    g = ball_unitary(x0)
+    x0_factors = frame_chart_factors(f, identity_chart(n), rank_tol)  # raises OutOfChartError
+    g = _section_of_factors(*x0_factors)
     u_tri, _ = lower_triangularize(g[n - k :, n - k :], rank_tol)
     cur = g.copy()
     cur[:, n - k :] = cur[:, n - k :] @ u_tri

@@ -38,6 +38,8 @@ class Spectrum:
     def __post_init__(self):
         profile = validate_profile(self.profile)
         lambdas = tuple(float(v) for v in self.lambdas)
+        if not np.all(np.isfinite(lambdas)):
+            raise ValidationError(f"eigenvalues must be finite: {lambdas}", code="NOT_FINITE")
         if len(lambdas) != len(profile):
             raise ValidationError(
                 f"{len(lambdas)} eigenvalues for {len(profile)} blocks", code="LAMBDA_COUNT"

@@ -68,6 +68,15 @@ def suite_unitarity(seed=DEFAULT_SEED):
     return props
 
 
+def _near_boundary_unitary(r, k, margin, rng):
+    """Unitary whose identity-chart block at profile (r, k) has smallest singular value ``margin``."""
+    p = min(r, k)
+    s = np.sqrt(rng.uniform(0.0, 0.9, p))
+    s[0] = np.sqrt((1.0 - margin) * (1.0 + margin))
+    x = haar_unitary(r, rng)[:, :p] @ np.diag(s) @ haar_unitary(k, rng)[:p, :]
+    return charts.ball_unitary(x) @ random_block_diagonal((r, k), rng).matrix()
+
+
 def suite_roundtrip(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst_ball, worst_point = 0.0, 0.0
@@ -107,6 +116,14 @@ def suite_roundtrip(seed=DEFAULT_SEED):
             rho = density.parametrize(params)
             worst = max(worst, frobenius(density.parametrize(density.deparametrize(rho)) - rho))
     props.append(_prop("density_roundtrip", 30, worst, 1e-10))
+
+    worst = 0.0
+    for i in range(60):
+        n, k = _random_dims(rng, 8)
+        g = _near_boundary_unitary(n - k, k, 10.0 ** -(4 + i % 4), rng)
+        coords, h = coset.decompose_unitary(g, (n - k, k))
+        worst = max(worst, frobenius(coset.reconstruct_unitary(coords, h) - g))
+    props.append(_prop("coset_roundtrip_near_boundary", 60, worst, 1e-12))
     return props
 
 

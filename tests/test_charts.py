@@ -470,6 +470,35 @@ class TestSections:
             assert frobenius(projector_of_unitary(g, k) - p) <= 1e-10
 
 
+class TestSectionSvdCount:
+    """A section reuses the chart map's (X, XV, V, c) for its dense W(X)."""
+
+    @staticmethod
+    def count_svds(monkeypatch, make_section):
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        make_section()
+        return len(calls)
+
+    def test_global_section(self, monkeypatch):
+        p = projector_of_unitary(haar_unitary(8, 15), 3)
+        assert select_chart(p) == identity_chart(8)
+        assert self.count_svds(monkeypatch, lambda: global_section(p)) == 1
+
+    def test_local_section(self, monkeypatch):
+        p = projector_of_unitary(haar_unitary(8, 16), 3)
+        sigma = (1, 2, 4, 6, 8, 3, 5, 7)
+        assert self.count_svds(monkeypatch, lambda: local_section(p, sigma)) == 1
+        g = local_section(p, sigma)
+        assert unitarity_defect(g) <= 1e-12
+        assert frobenius(projector_of_unitary(g, 3) - p) <= 1e-10
+
+
 class TestBallValidation:
     def test_open_ball_accepts_interior(self):
         from flagparam.charts import require_ball

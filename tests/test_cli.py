@@ -83,6 +83,16 @@ class TestParamToRho:
         assert r.returncode == 2
         assert json.loads(r.stdout)["error"]["code"] == "BAD_JSON"
 
+    @pytest.mark.parametrize("lambdas", [[float("nan"), 0.1], [0.3, float("nan")]])
+    def test_non_finite_eigenvalue(self, lambdas):
+        # every comparison against NaN is false, so only the finiteness
+        # check can reject these; json.dumps writes them as the token NaN
+        doc = golden_31_params()
+        doc["lambdas"] = lambdas
+        r = run_cli(["param-to-rho"], json.dumps(doc))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "NOT_FINITE"
+
     def test_files_in_and_out(self, tmp_path):
         infile = tmp_path / "params.json"
         outfile = tmp_path / "rho.json"

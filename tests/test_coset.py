@@ -27,7 +27,7 @@ from flagparam import (
 )
 from flagparam.charts import select_frame_chart
 from flagparam.coset import level_dimensions
-from flagparam.linalg import block_diag, frobenius, unitarity_defect
+from flagparam.linalg import ball_factors, block_diag, frobenius, unitarity_defect
 from flagparam.sampling import (
     random_ball_matrix,
     random_block_diagonal,
@@ -216,7 +216,10 @@ class TestFactoredSections:
         assert coords.charts == tuple(charts)
         assert max((np.max(np.abs(a - b)) for a, b in zip(coords.xs, xs)), default=0.0) <= 1e-12
         assert max(np.max(np.abs(a - b)) for a, b in zip(h.blocks, blocks)) <= 1e-12
-        assert np.max(np.abs(reconstruct_unitary(coords, h) - dense_reconstruct(coords, h))) <= 1e-12
+        # the dense reference re-derives the cosines from X, so compare the
+        # rebuilds on coordinates whose factors are derived from X as well
+        public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
+        assert np.max(np.abs(reconstruct_unitary(public, h) - dense_reconstruct(public, h))) <= 1e-12
         return coords
 
     # k < r, k = r and k > r on the levels
@@ -246,6 +249,74 @@ class TestFactoredSections:
         assert coords.charts == (identity_chart(r + k),)
 
 
+def swapped_unitary(rng):
+    """The input of ``test_non_identity_chart``: its outermost level leaves the identity chart."""
+    swap = np.eye(6)[:, [3, 4, 5, 0, 1, 2]]
+    return swap @ block_diag(haar_unitary(3, rng), haar_unitary(3, rng))
+
+
+class TestPeelResults:
+    """What the peel returns unchecked satisfies the public constructors' checks."""
+
+    PROFILES = [(1,) * 6, (3, 3), (2, 1, 3)]
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(33)
+        return [haar_unitary(6, rng) for _ in range(10)] + [swapped_unitary(rng)]
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_residues_unitary(self, profile):
+        for g in self.inputs():
+            _, h = decompose_unitary(g, profile)
+            assert h.profile == profile
+            assert max(unitarity_defect(b) for b in h.blocks) <= 1e-12
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_public_reconstruction_accepts(self, profile):
+        for g in self.inputs():
+            coords, h = decompose_unitary(g, profile)
+            public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
+            assert public.charts == coords.charts
+            assert all(np.array_equal(a, b) for a, b in zip(public.xs, coords.xs))
+            BlockDiagonalUnitary(h.blocks)
+
+    @pytest.mark.parametrize("margin", [1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize("r,k", [(3, 2), (2, 3), (3, 3)])
+    def test_near_boundary_roundtrip(self, r, k, margin):
+        # the rebuild uses the chart block's own cosines; re-deriving them
+        # from ||X|| ~ 1 would lose about eps / margin
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            g = near_boundary_unitary(r, k, margin, rng)
+            coords, h = decompose_unitary(g, (r, k))
+            assert coords.charts == (identity_chart(r + k),)
+            assert np.max(np.abs(reconstruct_unitary(coords, h) - g)) <= 1e-13
+
+    def test_ball_check_stays_in_the_peel(self):
+        # the identity chart's block 1.1e-8 passes rank_tol, but the top of
+        # the frame rounds to X = 1, on the sphere, which the peel rejects
+        s = 1.1e-8
+        g = np.array([[-s, 1.0], [1.0, s]], dtype=complex)
+        with pytest.raises(ValidationError, match=r"spectral norm 1\.000000 >= 1") as exc:
+            decompose_unitary(g, (1, 1))
+        assert exc.value.code == "BALL_NORM"
+
+
+def reconstruct_from_x(coords, h):
+    """Rebuild from each level's thin SVD of X, with gathered columns."""
+    g = np.eye(coords.n, dtype=complex)
+    for (nj, kj), x, sigma in zip(level_dimensions(coords.profile), coords.xs, coords.charts):
+        r = nj - kj
+        xv, v, c = ball_factors(x)
+        cols = g[:, np.array(sigma) - 1]
+        left, right = cols[:, :r], cols[:, r:]
+        left_xv, right_v = left @ xv, right @ v
+        g[:, :r] = left + ((-1.0 / (1.0 + c)) * left_xv - right_v) @ xv.conj().T
+        g[:, r:nj] = right + (left_xv + (c - 1.0) * right_v) @ v.conj().T
+    return g @ h.matrix()
+
+
 class TestReconstruct:
     def test_zero_coordinates(self):
         for profile in [(1, 1, 1), (2, 1)]:
@@ -271,6 +342,17 @@ class TestReconstruct:
         coords = zero_coordinates((2, 2))
         with pytest.raises(ValidationError):
             reconstruct_unitary(coords, BlockDiagonalUnitary.identity((1, 3)))
+
+    @pytest.mark.parametrize("profile", [(1,) * 6, (3, 3), (2, 1, 3)])
+    def test_public_coordinates_rebuild_from_x(self, profile):
+        # publicly built coordinates carry ball_factors(X), so the rebuild
+        # is the one from each level's thin SVD of X, in every chart
+        rng = np.random.default_rng(38)
+        for g in [haar_unitary(6, rng) for _ in range(5)] + [swapped_unitary(rng)]:
+            coords, h = decompose_unitary(g, profile)
+            public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
+            expected = reconstruct_from_x(public, h)
+            assert np.max(np.abs(reconstruct_unitary(public, h) - expected)) <= 1e-14
 
 
 class TestFlagSection:
@@ -465,3 +547,25 @@ class TestFlagCoordinatesValidation:
     def test_ball_violation(self):
         with pytest.raises(ValidationError):
             FlagCoordinates((2, 2), (np.full((2, 2), 1.0),), (identity_chart(4),))
+
+    def test_codes(self):
+        # the public constructors keep every check that the peel skips
+        x = np.zeros((2, 2))
+        for make, code in [
+            (lambda: FlagCoordinates((2, 2), (np.full((2, 2), 1.0),), (identity_chart(4),)), "BALL_NORM"),
+            (lambda: FlagCoordinates((2, 2), (x,), ((1, 3, 2, 4, 5),)), "BAD_CHART"),
+            (lambda: FlagCoordinates((2, 2), (x,), ((3, 1, 2, 4),)), "BAD_CHART"),
+            (lambda: FlagCoordinates((2, 2), (np.full((2, 2), np.nan),), (identity_chart(4),)), "NOT_FINITE"),
+            (lambda: BlockDiagonalUnitary((np.eye(2), 2.0 * np.eye(2))), "NOT_UNITARY"),
+            (lambda: BlockDiagonalUnitary((np.ones((2, 3)),)), "BAD_SHAPE"),
+        ]:
+            with pytest.raises(ValidationError) as exc:
+                make()
+            assert exc.value.code == code
+
+    def test_public_factors_match_ball_factors(self):
+        rng = np.random.default_rng(39)
+        coords = random_flag_coordinates((2, 1, 3), rng)
+        for x, factors in zip(coords.xs, coords.factors, strict=True):
+            expected = ball_factors(x)
+            assert all(np.array_equal(a, b) for a, b in zip(factors, expected, strict=True))

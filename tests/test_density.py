@@ -57,6 +57,14 @@ class TestSpectrum:
         with pytest.raises(ValidationError):
             Spectrum((1, 3), (1.3, -0.1))
 
+    @pytest.mark.parametrize(
+        "lambdas", [(np.nan, 0.1), (0.3, np.nan), (np.inf, 0.1), (0.4, -np.inf)]
+    )
+    def test_non_finite_violation(self, lambdas):
+        with pytest.raises(ValidationError) as exc:
+            Spectrum((3, 1), lambdas)
+        assert exc.value.code == "NOT_FINITE"
+
 
 class TestParametrize:
     def test_zero_coordinates_give_diagonal(self):
@@ -183,6 +191,31 @@ class TestDeparametrize:
         b = deparametrize(v @ rho @ v.conj().T).spectrum
         assert a.profile == b.profile
         assert max(abs(x - y) for x, y in zip(a.lambdas, b.lambdas)) <= 1e-10
+
+
+class TestSvdCount:
+    def test_roundtrip_reuses_peel_factors(self, monkeypatch):
+        # one chart-block SVD per level in the peel; the rebuild reads the
+        # peel's (XV, V, c) and takes none
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        rng = np.random.default_rng(35)
+        lam = np.linspace(2.0, 1.0, 8)
+        lam /= lam.sum()
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for _ in range(5):
+            v = haar_unitary(8, rng)
+            rho = (v * lam) @ v.conj().T
+            calls.clear()
+            params = deparametrize((rho + rho.conj().T) / 2)
+            back = parametrize(params)
+            assert params.spectrum.profile == (1,) * 8
+            assert len(calls) == 7
+            assert frobenius(back - rho) <= 1e-10
 
 
 class TestParameterCount:
