@@ -31,7 +31,7 @@ from .linalg import (
     hermiticity_defect,
     frobenius,
     identity_plus,
-    spectral_norm,
+    open_ball_factors,
 )
 
 
@@ -106,18 +106,6 @@ def permutation_unitary(sigma):
     for j, sj in enumerate(sigma):
         u[sj - 1, j] = 1.0
     return u
-
-
-def require_ball(x, margin=0.0):
-    """Validate an open-ball coordinate: largest singular value < 1 - margin."""
-    x = as_matrix(x)
-    top = spectral_norm(x)
-    if top >= 1.0 - margin:
-        raise ValidationError(
-            f"spectral norm {top:.6f} not inside the open ball (margin {margin})",
-            code="BALL_NORM",
-        )
-    return x
 
 
 def ball_unitary(x, psd_tol=PSD_TOL):
@@ -200,7 +188,8 @@ def frame_chart_factors(f, sigma, rank_tol=RANK_TOL):
     Golub 1973), so (XV, V, c) = (F_top V', W, S) are the factors of
     :func:`~flagparam.linalg.ball_factors` without a second SVD.  Returns
     (X, XV, V, c).  Raises :class:`OutOfChartError` when B is singular at
-    ``rank_tol``, i.e. the subspace lies outside this chart.
+    ``rank_tol``, i.e. the subspace lies outside this chart.  Accepting the
+    chart is the ball check: ||X||^2 = 1 - c_min^2 < 1 - rank_tol^2.
     """
     f = as_matrix(f)
     n, k = f.shape
@@ -342,9 +331,10 @@ def ball_to_affine(x):
     """Affine chart matrix Z = X (I - X*X)^(-1/2) of an open-ball coordinate.
 
     Z = XV diag(1/c) V*, with (XV, V, c) the factors of
-    :func:`~flagparam.linalg.ball_factors`.
+    :func:`~flagparam.linalg.open_ball_factors`, whose one SVD also checks
+    ||X|| < 1.
     """
-    xv, v, c = ball_factors(require_ball(x))
+    xv, v, c = open_ball_factors(as_matrix(x))
     return (xv / c) @ v.conj().T
 
 

@@ -25,18 +25,16 @@ from .linalg import (
     RANK_TOL,
     as_matrix,
     as_square,
-    ball_factors,
     block_diag,
     frobenius,
     lower_triangularize,
+    open_ball_factors,
     require_unitary,
-    spectral_norm,
 )
 from .charts import (
     _gather_rows,
     _section_of_factors,
     _select_frame_chart,
-    ball_unitary,
     frame_chart_factors,
     frame_of_projector,
     identity_chart,
@@ -67,14 +65,6 @@ def level_dimensions(profile):
     return [(int(sizes[j]), int(profile[j])) for j in range(len(profile) - 1, 0, -1)]
 
 
-def _require_level_in_ball(x):
-    top = spectral_norm(x)
-    if top >= 1.0:
-        raise ValidationError(
-            f"level coordinate has spectral norm {top:.6f} >= 1", code="BALL_NORM"
-        )
-
-
 def _unchecked(cls, **values):
     """An instance of a frozen dataclass holding ``values``, skipping ``__post_init__``.
 
@@ -96,8 +86,10 @@ class FlagCoordinates:
     back, and for reproducible serialization).  ``factors`` holds each
     level's (XV, V, c) section factors (see
     :func:`~flagparam.linalg.ball_factors`): from the chart-block SVD when
-    :func:`decompose_unitary` built the coordinates, from one thin SVD of X
-    otherwise.  :func:`reconstruct_unitary` applies them without an SVD.
+    :func:`decompose_unitary` built the coordinates, otherwise from one thin
+    SVD of X, which also checks ||X|| < 1 (see
+    :func:`~flagparam.linalg.open_ball_factors`).
+    :func:`reconstruct_unitary` applies them without an SVD.
     """
 
     profile: tuple
@@ -117,6 +109,7 @@ class FlagCoordinates:
                 code="PROFILE_SUM",
             )
         charts = tuple(validate_chart(sigma, kj, nj) for (nj, kj), sigma in zip(dims, charts))
+        factors = []
         for (nj, kj), x in zip(dims, xs):
             if x.shape != (nj - kj, kj):
                 raise ValidationError(
@@ -124,11 +117,11 @@ class FlagCoordinates:
                     f"got {x.shape}",
                     code="BAD_SHAPE",
                 )
-            _require_level_in_ball(x)
+            factors.append(open_ball_factors(x))
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "charts", charts)
-        object.__setattr__(self, "factors", tuple(ball_factors(x) for x in xs))
+        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def n(self):
@@ -195,7 +188,8 @@ def decompose_unitary(
     flag coordinates and the unique block-diagonal residue; the coordinates
     depend only on the coset of g modulo block-diagonal factors.  Both are
     built without re-running their constructors' checks, which hold by
-    construction; each level's ball check runs during the peel.
+    construction: the chart search accepts a level only when its cosines
+    exceed ``rank_tol``, so every X lies strictly inside the ball.
     """
     g = require_unitary(g, unit_tol)
     ks = validate_profile(profile, n=g.shape[0])
@@ -204,7 +198,6 @@ def decompose_unitary(
     for nj, kj in level_dimensions(ks):
         r = nj - kj
         sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:], rank_tol)
-        _require_level_in_ball(x)
         rows = _gather_rows(cur, sigma)
         top, bottom = rows[:r], rows[r:]
         xvh, vh = xv.conj().T, v.conj().T
@@ -276,8 +269,10 @@ def section_from_projective_factors(p, rank_tol=RANK_TOL):
 
     Only defined on the identity chart.  The plane's section is
     right-normalized so the bottom block is lower triangular with positive
-    diagonal, then one projective factor is peeled per column, innermost
-    last.  Each peeled vector x_i has exact zeros in its trailing positions
+    diagonal, then peeled by :func:`decompose_unitary` over the profile
+    (n - k, 1, ..., 1).  Each diagonal entry is a rank-one level's cosine
+    and exceeds ``rank_tol``, the chart tolerance, so every level stays in
+    the identity chart.  Each peeled vector x_i has exact zeros in its trailing positions
     (all but the first n - k and the peeled ones), which is what makes the
     factors cheap to write down.  Returns the peeled vectors, outermost
     first, and the product of the embedded factors: a unitary whose last k
@@ -290,18 +285,9 @@ def section_from_projective_factors(p, rank_tol=RANK_TOL):
     x0_factors = frame_chart_factors(f, identity_chart(n), rank_tol)  # raises OutOfChartError
     g = _section_of_factors(*x0_factors)
     u_tri, _ = lower_triangularize(g[n - k :, n - k :], rank_tol)
-    cur = g.copy()
-    cur[:, n - k :] = cur[:, n - k :] @ u_tri
-    vectors = []
-    section = np.eye(n, dtype=complex)
-    for i in range(k):
-        x = cur[:, -1][:-1].copy()
-        w = ball_unitary(x)
-        vectors.append(x)
-        cur = (w.conj().T @ cur)[:-1, :-1]
-        # factor i acts on the leading n - i columns only
-        section[:, : n - i] = section[:, : n - i] @ w
-    return vectors, section
+    g[:, n - k :] = g[:, n - k :] @ u_tri
+    coords, _ = decompose_unitary(g, (n - k,) + (1,) * k, rank_tol)
+    return [x.ravel() for x in coords.xs], reconstruct_unitary(coords)
 
 
 @dataclass(frozen=True, eq=False)

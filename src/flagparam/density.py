@@ -161,11 +161,10 @@ def deparametrize(
             f"eigenvalue gap {g:.3e} inside ({gap_tol:.1e}, {10 * gap_tol:.1e}): "
             "clustering is unstable, pick a different gap_tol"
         )
-    splits = [i + 1 for i, g in enumerate(gaps) if g > gap_tol]
-    groups = np.split(np.arange(w.size), splits)
-    profile = tuple(len(g) for g in groups)
-    lambdas = tuple(float(np.mean(w[g])) for g in groups)
-    spectrum = Spectrum(profile, lambdas, gap_tol)
+    starts = np.flatnonzero(np.concatenate(([True], gaps > gap_tol)))
+    sizes = np.diff(np.append(starts, w.size))
+    profile = tuple(sizes.tolist())
+    spectrum = Spectrum(profile, tuple((np.add.reduceat(w, starts) / sizes).tolist()), gap_tol)
     coords, _ = decompose_unitary(v, profile, rank_tol)
     return DensityParameters(spectrum, coords)
 

@@ -16,7 +16,9 @@ from .errors import NotPSDError, SingularInputError, ValidationError
 EPS_UNITARY = 1e-10    # allowed ||U*U - I||_F for a matrix treated as unitary
 EPS_HERMITIAN = 1e-12  # allowed ||A - A*||_F for a matrix treated as Hermitian
 PSD_TOL = 1e-10        # eigenvalues above -PSD_TOL count as nonnegative
-RANK_TOL = 1e-8        # smallest singular value that still counts as nonsingular
+# Smallest singular value that still counts as nonsingular.  Every frame with
+# n <= 256 has a chart above it (max-volume bound, see charts.select_chart).
+RANK_TOL = 1e-4
 
 
 def as_matrix(a):
@@ -43,16 +45,6 @@ def as_square(a):
 
 def frobenius(a) -> float:
     return float(np.linalg.norm(a))
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value; a single row or column is its 2-norm, no SVD."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    if a.ndim == 2 and min(a.shape) == 1:
-        return float(np.linalg.norm(a))
-    return float(np.linalg.norm(a, 2))
 
 
 def unitarity_defect(g) -> float:
@@ -119,11 +111,31 @@ def ball_factors(x, psd_tol=PSD_TOL):
     X*X has an eigenvalue above 1 + ``psd_tol``; singular values up to that
     bound count as 1.
     """
+    top, factors = _thin_svd_factors(x)
+    if top**2 > 1.0 + psd_tol:
+        raise NotPSDError(f"X*X has eigenvalue {top**2:.6e} above 1")
+    return factors
+
+
+def open_ball_factors(x):
+    """The factors of :func:`ball_factors` for an open-ball coordinate, from the same SVD.
+
+    Raises :class:`ValidationError` (code ``BALL_NORM``) when ||X|| >= 1.
+    """
+    top, factors = _thin_svd_factors(x)
+    if top >= 1.0:
+        raise ValidationError(
+            f"ball coordinate has spectral norm {top:.6f} >= 1", code="BALL_NORM"
+        )
+    return factors
+
+
+def _thin_svd_factors(x):
+    """(||X||, (XV, V, c)) from one thin SVD, with singular values capped at 1."""
     u, s, vh = np.linalg.svd(x, full_matrices=False)
-    if s.size and s[0] ** 2 > 1.0 + psd_tol:
-        raise NotPSDError(f"X*X has eigenvalue {s[0]**2:.6e} above 1")
+    top = float(s[0]) if s.size else 0.0
     s = np.minimum(s, 1.0)
-    return u * s, vh.conj().T, np.sqrt((1.0 - s) * (1.0 + s))
+    return top, (u * s, vh.conj().T, np.sqrt((1.0 - s) * (1.0 + s)))
 
 
 def identity_plus(w, d):

@@ -29,32 +29,30 @@ def random_ball_matrix(rows, cols, rng, radius=None):
     return x * (radius / top)
 
 
-def random_spectrum(profile, rng, min_gap=MIN_SPECTRUM_GAP, max_tries=200_000):
-    """Spectrum drawn uniformly from the weighted simplex, rejecting small gaps.
+def random_spectrum(profile, rng, min_gap=MIN_SPECTRUM_GAP):
+    """Spectrum drawn uniformly among those with adjacent gaps >= ``min_gap``.
 
-    Group weights are Dirichlet(1, ..., 1); the candidate eigenvalues are the
-    weights divided by their multiplicities, accepted when strictly
-    decreasing with gaps of at least ``min_gap``.
+    The excess gaps d_j = lambda_j - lambda_(j+1) - min_gap (d_m = lambda_m)
+    fill {d >= 0, sum_j K_j d_j = R}, K_j = k_1 + ... + k_j and
+    R = 1 - min_gap * sum_j k_j (m - j): a scaled simplex, which one
+    Dirichlet(1) draw covers uniformly.  Raises at once when R <= 0.
     """
     ks = validate_profile(profile)
     rng = np.random.default_rng(rng)
     m = len(ks)
-    if m == 1:
-        return Spectrum(ks, (1.0 / ks[0],))
     karr = np.array(ks, dtype=float)
-    uniform_ks = len(set(ks)) == 1
-    for _ in range(max_tries):
-        lam = rng.dirichlet(np.ones(m)) / karr
-        if uniform_ks:
-            # equal multiplicities are exchangeable, so sorting is a valid
-            # draw from the ordered simplex; only the gaps can reject
-            lam = np.sort(lam)[::-1]
-        if np.all(lam[:-1] - lam[1:] >= min_gap):
-            return Spectrum(ks, tuple(float(v) for v in lam))
-    raise ValidationError(
-        f"could not sample a spectrum for profile {ks} with min_gap={min_gap}",
-        code="SPECTRUM_SAMPLING",
-    )
+    steps = np.arange(m - 1, -1, -1, dtype=float)  # m - j
+    budget = float(karr @ steps)
+    room = 1.0 - min_gap * budget
+    if room <= 0.0:
+        raise ValidationError(
+            f"no spectrum for profile {ks} has gaps >= min_gap={min_gap}: "
+            f"the largest feasible gap is {1.0 / budget:.6g}",
+            code="SPECTRUM_SAMPLING",
+        )
+    d = rng.dirichlet(np.ones(m)) * room / np.cumsum(karr)
+    lam = np.cumsum(d[::-1])[::-1] + min_gap * steps
+    return Spectrum(ks, tuple(lam.tolist()))
 
 
 def random_flag_coordinates(profile, rng, max_radius=0.95):

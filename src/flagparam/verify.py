@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import charts, coset, density, lie
-from .linalg import expm_reference, frobenius, haar_unitary, hermitian_sqrt
+from .linalg import RANK_TOL, expm_reference, frobenius, haar_unitary, hermitian_sqrt
 from .sampling import (
     random_ball_matrix,
     random_block_diagonal,
@@ -124,6 +124,17 @@ def suite_roundtrip(seed=DEFAULT_SEED):
         coords, h = coset.decompose_unitary(g, (n - k, k))
         worst = max(worst, frobenius(coset.reconstruct_unitary(coords, h) - g))
     props.append(_prop("coset_roundtrip_near_boundary", 60, worst, 1e-12))
+
+    # rebuilt from the public form (X and chart only), as JSON round trips do
+    worst = 0.0
+    margins = [1e-4, 1e-5, 1e-6, 1e-7, 1.5 * RANK_TOL]
+    for i in range(60):
+        n, k = _random_dims(rng, 8)
+        g = _near_boundary_unitary(n - k, k, margins[i % len(margins)], rng)
+        coords, h = coset.decompose_unitary(g, (n - k, k))
+        public = coset.FlagCoordinates(coords.profile, coords.xs, coords.charts)
+        worst = max(worst, frobenius(coset.reconstruct_unitary(public, h) - g))
+    props.append(_prop("coset_public_roundtrip_near_boundary", 60, worst, 1e-10))
     return props
 
 

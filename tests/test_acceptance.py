@@ -32,7 +32,7 @@ from flagparam import (
 )
 from flagparam.coset import FlagCoordinates
 from flagparam.density import DensityParameters
-from flagparam.linalg import frobenius
+from flagparam.linalg import RANK_TOL, frobenius
 from flagparam.sampling import (
     random_ball_matrix,
     random_block_diagonal,
@@ -280,7 +280,7 @@ def test_criterion_11_chart_coverage():
     for _ in range(total):
         f = frame_of_unitary(haar_unitary(4, rng), 2)
         smin = np.linalg.svd(f[2:, :], compute_uv=False)[-1]
-        if smin <= 1e-8:
+        if smin <= RANK_TOL:
             outside += 1
     fraction = outside / total
     crit.finish(fraction, 0.005, extra=f" outside={outside}/{total}")

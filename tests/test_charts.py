@@ -28,7 +28,7 @@ from flagparam import (
     select_chart,
 )
 from flagparam.charts import frame_chart_factors, select_frame_chart, validate_chart
-from flagparam.linalg import frobenius, unitarity_defect
+from flagparam.linalg import frobenius, open_ball_factors, unitarity_defect
 from flagparam.sampling import random_ball_matrix
 
 
@@ -320,18 +320,18 @@ def sparse_frame(rng, n, k):
 
 
 def near_tolerance_frame(rng, n, k):
-    """Haar frame whose identity-chart block is singular up to eps in [1e-9, 1e-7]."""
+    """Haar frame whose identity-chart block is singular up to eps in [0.1, 10] * RANK_TOL."""
     f = frame_of_unitary(haar_unitary(n, rng), k)
     i = n - k + int(rng.integers(k))
     others = [j for j in range(n - k, n) if j != i]
     c = rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1)
-    eps = 10.0 ** rng.uniform(-9.0, -7.0)
+    eps = RANK_TOL * 10.0 ** rng.uniform(-1.0, 1.0)
     f[i] = c @ f[others] + eps * f[i]
     return orthonormalize(f)
 
 
 def small_row_frame(rng, n, k):
-    """Haar frame with row n and some other rows shrunk to norm in [0.5, 2] * 1e-8.
+    """Haar frame with row n and some other rows shrunk to norm in [0.5, 2] * RANK_TOL.
 
     Row sets holding a short row pass or fail by a hair at rank_tol, which
     is where a search without backtracking dead-ends.
@@ -339,12 +339,12 @@ def small_row_frame(rng, n, k):
     f = frame_of_unitary(haar_unitary(n, rng), k)
     rows = rng.choice(n - 1, int(rng.integers(0, n - k)), replace=False)
     rows = np.append(rows, n - 1)
-    norms = 10.0 ** rng.uniform(-8.3, -7.7, rows.size)
+    norms = RANK_TOL * 10.0 ** rng.uniform(-0.3, 0.3, rows.size)
     f[rows] *= (norms / np.linalg.norm(f[rows], axis=1))[:, None]
     return orthonormalize(f)
 
 
-def short_last_row_frame(q, short=1.1e-8):
+def short_last_row_frame(q, short=1.1 * RANK_TOL):
     """Rows of the unitary q, then a row of norm ``short`` along the first column.
 
     Each row of q has at least a sixth of its weight on the first column, so
@@ -405,7 +405,7 @@ class TestFrameChartSelection:
     def test_backtracking(self):
         # rows 2 and 3 together span the column, so row 1 may join the top;
         # neither passes alone, so the search must take row 1 out again
-        f = orthonormalize(np.array([[1.0], [0.8e-8], [0.8e-8]], dtype=complex))
+        f = orthonormalize(np.array([[1.0], [0.8 * RANK_TOL], [0.8 * RANK_TOL]], dtype=complex))
         assert scan_chart(f) == (2, 3, 1)
         assert select_frame_chart(f)[0] == (2, 3, 1)
 
@@ -436,7 +436,7 @@ class TestFrameChartSelection:
             short_last_row_frame(
                 np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
             ),
-            orthonormalize(np.array([[1.0], [0.8e-8], [0.8e-8]], dtype=complex)),
+            orthonormalize(np.array([[1.0], [0.8 * RANK_TOL], [0.8 * RANK_TOL]], dtype=complex)),
         ]
         pools = [(sparse_frame, 40), (near_tolerance_frame, 41), (small_row_frame, 43)]
         for make_frame, seed in pools:
@@ -501,19 +501,22 @@ class TestSectionSvdCount:
 
 class TestBallValidation:
     def test_open_ball_accepts_interior(self):
-        from flagparam.charts import require_ball
-
         rng = np.random.default_rng(30)
-        require_ball(random_ball_matrix(3, 2, rng, radius=0.999))
+        x = random_ball_matrix(3, 2, rng, radius=0.999)
+        xv, v, c = open_ball_factors(x)
+        assert frobenius(xv @ v.conj().T - x) <= 1e-14
+        assert np.all(c > 0.0)
 
-    def test_open_ball_margin(self):
-        from flagparam.charts import require_ball
-
+    def test_open_ball_rejects_norm_one_and_above(self):
         rng = np.random.default_rng(31)
-        x = random_ball_matrix(3, 2, rng, radius=0.9)
-        require_ball(x, margin=0.05)
-        with pytest.raises(ValidationError):
-            require_ball(x, margin=0.2)
+        for x in [
+            np.eye(3, 2, dtype=complex),
+            random_ball_matrix(3, 2, rng, radius=1.0 + 1e-9),
+            random_ball_matrix(3, 2, rng, radius=2.0),
+        ]:
+            with pytest.raises(ValidationError, match="spectral norm") as exc:
+                open_ball_factors(x)
+            assert exc.value.code == "BALL_NORM"
 
 
 class TestAffineChart:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagparam import (
+    RANK_TOL,
     BlockDiagonalUnitary,
     FlagCoordinates,
     JarlskogLevel,
@@ -242,9 +243,10 @@ class TestFactoredSections:
     @pytest.mark.parametrize("r,k", [(3, 2), (2, 3), (3, 3)])
     def test_near_boundary(self, r, k):
         rng = np.random.default_rng(32)
-        g = near_boundary_unitary(r, k, 1e-7, rng)
+        margin = 1.5 * RANK_TOL
+        g = near_boundary_unitary(r, k, margin, rng)
         block = g[r:, r:]
-        assert np.linalg.svd(block, compute_uv=False)[-1] == pytest.approx(1e-7, rel=0.1)
+        assert np.linalg.svd(block, compute_uv=False)[-1] == pytest.approx(margin, rel=0.1)
         coords = self.check_parity(g, (r, k))
         assert coords.charts == (identity_chart(r + k),)
 
@@ -281,26 +283,30 @@ class TestPeelResults:
             assert all(np.array_equal(a, b) for a, b in zip(public.xs, coords.xs))
             BlockDiagonalUnitary(h.blocks)
 
-    @pytest.mark.parametrize("margin", [1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize("excess", [1e-5, 1e-6, 1e-7])
     @pytest.mark.parametrize("r,k", [(3, 2), (2, 3), (3, 3)])
-    def test_near_boundary_roundtrip(self, r, k, margin):
-        # the rebuild uses the chart block's own cosines; re-deriving them
-        # from ||X|| ~ 1 would lose about eps / margin
+    def test_near_boundary_roundtrip(self, r, k, excess):
+        # margins just above rank_tol, the nearest the identity chart gets
+        # to the sphere; the rebuild uses the chart block's own cosines, and
+        # re-deriving them from ||X|| ~ 1 would lose about eps / margin
         rng = np.random.default_rng(36)
         for _ in range(5):
-            g = near_boundary_unitary(r, k, margin, rng)
+            g = near_boundary_unitary(r, k, RANK_TOL + excess, rng)
             coords, h = decompose_unitary(g, (r, k))
             assert coords.charts == (identity_chart(r + k),)
             assert np.max(np.abs(reconstruct_unitary(coords, h) - g)) <= 1e-13
 
-    def test_ball_check_stays_in_the_peel(self):
-        # the identity chart's block 1.1e-8 passes rank_tol, but the top of
-        # the frame rounds to X = 1, on the sphere, which the peel rejects
+    def test_sphere_rounding_frame_takes_next_chart(self):
+        # in the identity chart this frame's top rounds to X = 1, on the
+        # sphere; its cosine 1.1e-8 is below rank_tol, so the chart search
+        # moves on, and chart acceptance is the only ball check
         s = 1.1e-8
         g = np.array([[-s, 1.0], [1.0, s]], dtype=complex)
-        with pytest.raises(ValidationError, match=r"spectral norm 1\.000000 >= 1") as exc:
-            decompose_unitary(g, (1, 1))
-        assert exc.value.code == "BALL_NORM"
+        coords, h = decompose_unitary(g, (1, 1))
+        assert coords.charts == ((2, 1),)
+        assert np.max(np.abs(reconstruct_unitary(coords, h) - g)) <= 1e-14
+        public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
+        assert np.max(np.abs(reconstruct_unitary(public, h) - g)) <= 1e-14
 
 
 def reconstruct_from_x(coords, h):
@@ -562,6 +568,27 @@ class TestFlagCoordinatesValidation:
             with pytest.raises(ValidationError) as exc:
                 make()
             assert exc.value.code == code
+
+    @pytest.mark.parametrize("profile", [(8,) * 6, (2, 1, 3), (1,) * 6])
+    def test_one_svd_per_level(self, profile, monkeypatch):
+        # the constructor's ball check reads the SVD that gives the factors
+        svd, norm, svds, norms_2 = np.linalg.svd, np.linalg.norm, [], []
+
+        def counting_svd(*args, **kwargs):
+            svds.append(1)
+            return svd(*args, **kwargs)
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                norms_2.append(1)
+            return norm(x, ord, *args, **kwargs)
+
+        coords = random_flag_coordinates(profile, np.random.default_rng(40))
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        FlagCoordinates(coords.profile, coords.xs, coords.charts)
+        assert len(svds) == len(profile) - 1
+        assert norms_2 == []
 
     def test_public_factors_match_ball_factors(self):
         rng = np.random.default_rng(39)

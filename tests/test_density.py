@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,54 @@ class TestParametrize:
         coords = random_flag_coordinates((3, 1), np.random.default_rng(3))
         with pytest.raises(ValidationError):
             DensityParameters(spectrum, coords)
+
+
+def rejection_spectra(ks, rng, min_gap, count):
+    """The former sampler's law: Dirichlet weights over the multiplicities,
+    sorted when they are all equal, kept when every gap is at least min_gap."""
+    karr = np.array(ks, dtype=float)
+    kept = []
+    while sum(len(a) for a in kept) < count:
+        lam = rng.dirichlet(np.ones(len(ks)), size=4 * count) / karr
+        if len(set(ks)) == 1:
+            lam = np.sort(lam, axis=1)[:, ::-1]
+        kept.append(lam[np.all(lam[:, :-1] - lam[:, 1:] >= min_gap, axis=1)])
+    return np.vstack(kept)[:count]
+
+
+class TestRandomSpectrum:
+    @pytest.mark.parametrize("profile", [(1,) * 30, (8,) * 16])
+    def test_feasible_requests(self, profile):
+        # the gap-constrained region is small but not empty: R = 0.565 and 0.04
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            s = random_spectrum(profile, rng, min_gap=1e-3)
+            lam = np.array(s.lambdas)
+            assert s.profile == profile
+            assert np.all(lam[:-1] - lam[1:] >= 1e-3 - 1e-15)
+            assert lam[-1] >= 0.0
+
+    def test_infeasible_request_raises_at_once(self):
+        # 1e-3 * (45 + 44 + ... + 1) = 1.035 > 1: no spectrum has these gaps
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"largest feasible gap is 0\.000966184") as exc:
+            random_spectrum((1,) * 46, np.random.default_rng(42), min_gap=1e-3)
+        assert exc.value.code == "SPECTRUM_SAMPLING"
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("profile", [(3, 1), (1, 2, 1), (1, 1, 1, 1)])
+    def test_law_matches_rejection_sampler(self, profile):
+        # the same uniform law on the region, without rejection
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(43)
+        count = 2000
+        direct = np.array(
+            [random_spectrum(profile, rng, min_gap=0.05).lambdas for _ in range(count)]
+        )
+        reference = rejection_spectra(profile, rng, 0.05, count)
+        for j in range(len(profile)):
+            assert ks_2samp(direct[:, j], reference[:, j]).pvalue > 0.01
 
 
 class TestRequireDensity:

@@ -16,7 +16,7 @@ from flagparam import (
     lower_triangularize,
     polar_unitary,
 )
-from flagparam.linalg import frobenius, spectral_norm, unitarity_defect
+from flagparam.linalg import frobenius, unitarity_defect
 
 
 def random_complex(rng, rows, cols):
@@ -213,16 +213,3 @@ class TestHaarUnitary:
         traces = np.array([np.trace(haar_unitary(5, rng)) for _ in range(2000)])
         assert abs(np.mean(traces)) <= 0.08
         assert abs(np.mean(np.abs(traces) ** 2) - 1.0) <= 0.12
-
-
-class TestSpectralNorm:
-    def test_single_row_or_column_matches_svd(self):
-        rng = np.random.default_rng(12)
-        for shape in [(1, 1), (5, 1), (1, 5), (40, 1)]:
-            a = random_complex(rng, *shape)
-            assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-14)
-
-    def test_matrix_and_empty(self):
-        a = random_complex(np.random.default_rng(13), 4, 3)
-        assert spectral_norm(a) == np.linalg.norm(a, 2)
-        assert spectral_norm(np.zeros((0, 3))) == 0.0
