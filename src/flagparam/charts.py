@@ -16,6 +16,7 @@ a frame first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -35,7 +36,9 @@ from .linalg import (
 )
 
 
+@functools.lru_cache(maxsize=512)
 def identity_chart(n):
+    """The chart (1, 2, ..., n); cached, since the peel and the rebuild ask for it per level."""
     return tuple(range(1, n + 1))
 
 

@@ -42,7 +42,7 @@ from .linalg import (
     require_unitary,
     unitarity_defect,
 )
-from .sampling import random_density_parameters
+from .sampling import MIN_SPECTRUM_GAP, largest_feasible_gap, random_density_parameters
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -130,7 +130,9 @@ def cmd_sample(args):
     if args.n < 1:
         raise ValidationError("n must be >= 1", code="BAD_DIMENSION")
     profile = _parse_profile(args.profile, n=args.n) if args.profile else (1,) * args.n
-    params = random_density_parameters(profile, np.random.default_rng(args.seed))
+    # the default gap, or half the largest feasible gap when that is smaller
+    min_gap = min(MIN_SPECTRUM_GAP, 0.5 * largest_feasible_gap(profile))
+    params = random_density_parameters(profile, np.random.default_rng(args.seed), min_gap)
     doc = {
         "params": iojson.params_to_json(params),
         "rho": iojson.matrix_to_json(parametrize(params)),

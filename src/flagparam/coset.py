@@ -218,15 +218,30 @@ def decompose_unitary(
     return coords, _unchecked(BlockDiagonalUnitary, blocks=(cur,) + tuple(reversed(residues)))
 
 
+# A level joins a compact-WY panel of the rebuild when its Z = [[XV, 0],
+# [0, V]] has at most _THIN_LEVEL_COLUMNS columns: panelling (8,)-blocks
+# would zero-pad Y and double the GEMM work.  A panel holds at most
+# _PANEL_COLUMNS columns of Y; at 16 the (1,)*64 rebuild gains half as much.
+_THIN_LEVEL_COLUMNS = 8
+_PANEL_COLUMNS = 32
+
+
 def reconstruct_unitary(coords: FlagCoordinates, h=None):
     """Product of the embedded per-level sections times a block-diagonal factor.
 
     Inverse of :func:`decompose_unitary`: feeding its output back returns the
-    original unitary.  Each level's section acts on the leading n_j columns
-    only, as two rank-min(r, k) updates built from the level's (XV, V, c)
-    in ``coords.factors``, so no SVD is taken; on the identity chart the
-    columns are updated in place, without a gather.  ``h`` (identity when
-    omitted) is applied block by block.
+    original unitary.  The sections are accumulated backward, innermost level
+    first, and each step touches only the leading n_j x n_j block, as
+    LAPACK's ZUNGQR does.  A level's section is W = I + Z M Z* with
+    Z = [[XV, 0], [0, V]] and M = [[-1/(1 + c), I], [-I, c - 1]] from the
+    level's (XV, V, c) in ``coords.factors``, so no SVD is taken.  Runs of
+    thin levels (Z at most 8 columns wide) are applied as panels
+    I + Y T Y* in compact-WY form (Schreiber & Van Loan 1989), with T from
+    the UT transform (Joffrain et al. 2006):
+    T^-1 = blkdiag(M_i^-1) - strict_block_upper(Y* Y).  Every other level
+    is applied alone as two rank-p row updates.  Only a panel's outermost
+    level may leave the identity chart; its row scatter follows the panel.
+    ``h`` (identity when omitted) is applied block by block.
     """
     ks = coords.profile
     if h is not None and h.profile != ks:
@@ -235,17 +250,17 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
             code="PROFILE_SUM",
         )
     g = np.eye(coords.n, dtype=complex)
-    for (nj, kj), sigma, (xv, v, c) in zip(level_dimensions(ks), coords.charts, coords.factors):
-        r = nj - kj
-        in_place = sigma == identity_chart(nj)
-        cols = g[:, :nj] if in_place else g[:, np.array(sigma) - 1]
-        left, right = cols[:, :r], cols[:, r:]
-        left_xv, right_v = left @ xv, right @ v
-        # cols @ [[A, X], [-X*, C]], with A, C and X factored as in the peel
-        left += ((-1.0 / (1.0 + c)) * left_xv - right_v) @ xv.conj().T
-        right += (left_xv + (c - 1.0) * right_v) @ v.conj().T
-        if not in_place:
-            g[:, :nj] = cols
+    levels = zip(level_dimensions(ks), coords.charts, coords.factors)
+    for panel in _panels(reversed(list(levels))):
+        (nj, _), sigma, _ = panel[-1]
+        blk = g[:nj, :nj]
+        if len(panel) == 1:
+            _apply_level(blk, panel[0])
+        else:
+            y, tinv = _compact_wy(panel)
+            blk += y @ np.linalg.solve(tinv, y.conj().T @ blk)
+        if sigma != identity_chart(nj):
+            g[np.array(sigma) - 1, :nj] = blk.copy()
     if h is not None:
         start = 0
         for b in h.blocks:
@@ -253,6 +268,65 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
             g[:, start:stop] = g[:, start:stop] @ b
             start = stop
     return g
+
+
+def _panels(levels):
+    """Group levels, innermost first, into the panels of :func:`reconstruct_unitary`.
+
+    Each panel lists its levels innermost first.  A thick level, or a thin
+    one that would overflow the panel, starts a new panel; a level outside
+    the identity chart ends its panel.
+    """
+    panel, width = [], 0
+    for level in levels:
+        (nj, _), sigma, (_, _, c) = level
+        cols = 2 * c.size
+        if panel and (cols > _THIN_LEVEL_COLUMNS or width + cols > _PANEL_COLUMNS):
+            yield panel
+            panel, width = [], 0
+        panel.append(level)
+        width += cols
+        if cols > _THIN_LEVEL_COLUMNS or sigma != identity_chart(nj):
+            yield panel
+            panel, width = [], 0
+    if panel:
+        yield panel
+
+
+def _apply_level(blk, level):
+    """blk <- W blk for one level's section, as two rank-p row updates, in place."""
+    (nj, kj), _, (xv, v, c) = level
+    top, bottom = blk[: nj - kj], blk[nj - kj :]
+    t, b = xv.conj().T @ top, v.conj().T @ bottom
+    # [[A, X], [-X*, C]] @ blk, with A, C and X factored as in the peel
+    top += xv @ ((-1.0 / (1.0 + c))[:, None] * t + b)
+    bottom += v @ ((c - 1.0)[:, None] * b - t)
+
+
+def _compact_wy(panel):
+    """(Y, T^-1) with W_outer ... W_inner = I + Y T Y* for a panel listed innermost first.
+
+    Y = [Z_outer, ..., Z_inner] is zero-padded to the outermost level's n_j
+    rows.  Each M_i has the inverse [[(c^2 - 1)/2, -(1 + c)/2],
+    [(1 + c)/2, -1/2]] (diagonal blocks), which needs no division.
+    """
+    panel = panel[::-1]
+    ps = np.array([c.size for _, _, (_, _, c) in panel])
+    offsets = np.concatenate(([0], np.cumsum(2 * ps)))
+    y = np.zeros((panel[0][0][0], offsets[-1]), dtype=complex)
+    for ((nj, kj), _, (xv, v, c)), o, p in zip(panel, offsets, ps):
+        y[: nj - kj, o : o + p] = xv
+        y[nj - kj : nj, o + p : o + 2 * p] = v
+    block = np.repeat(np.arange(len(panel)), 2 * ps)
+    tinv = np.where(block[:, None] < block[None, :], -(y.conj().T @ y), 0.0)
+    first = np.concatenate([o + np.arange(p) for o, p in zip(offsets, ps)])
+    second = first + np.repeat(ps, ps)
+    c = np.concatenate([c for _, _, (_, _, c) in panel])
+    tinv[first, first] = 0.5 * (c - 1.0) * (c + 1.0)
+    tinv[first, second] = -0.5 * (1.0 + c)
+    tinv[second, first] = 0.5 * (1.0 + c)
+    tinv[second, second] = -0.5
+    return y, tinv
 
 
 def flag_section(coords: FlagCoordinates):

@@ -42,17 +42,29 @@ def random_spectrum(profile, rng, min_gap=MIN_SPECTRUM_GAP):
     m = len(ks)
     karr = np.array(ks, dtype=float)
     steps = np.arange(m - 1, -1, -1, dtype=float)  # m - j
-    budget = float(karr @ steps)
+    budget = _gap_budget(ks)
     room = 1.0 - min_gap * budget
     if room <= 0.0:
         raise ValidationError(
-            f"no spectrum for profile {ks} has gaps >= min_gap={min_gap}: "
-            f"the largest feasible gap is {1.0 / budget:.6g}",
+            f"no spectrum with n={sum(ks)} and m={m} distinct eigenvalues has gaps >= "
+            f"min_gap={min_gap}: the largest feasible gap is {1.0 / budget:.6g}",
             code="SPECTRUM_SAMPLING",
         )
     d = rng.dirichlet(np.ones(m)) * room / np.cumsum(karr)
     lam = np.cumsum(d[::-1])[::-1] + min_gap * steps
     return Spectrum(ks, tuple(lam.tolist()))
+
+
+def _gap_budget(ks):
+    """sum_j k_j (m - j): how many gaps of size min_gap the trace has to pay for."""
+    m = len(ks)
+    return sum(k * (m - 1 - j) for j, k in enumerate(ks))
+
+
+def largest_feasible_gap(profile):
+    """Supremum of the gaps a unit-trace spectrum with this profile can keep (inf for m = 1)."""
+    budget = _gap_budget(validate_profile(profile))
+    return 1.0 / budget if budget else float("inf")
 
 
 def random_flag_coordinates(profile, rng, max_radius=0.95):

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from flagparam.density import GAP_TOL
 from flagparam.iojson import matrix_from_json, matrix_to_json
 
 
@@ -256,6 +257,21 @@ class TestSample:
     def test_profile_must_sum(self):
         r = run_cli(["sample", "4", "--profile", "3,3"])
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_large_nondegenerate(self, n):
+        # the default gap 1e-3 is infeasible for (1,)*n from n = 46 on;
+        # sample then takes half the largest feasible gap, 1.53e-5 at
+        # n = 256, still ten times GAP_TOL, so rho-to-param splits every
+        # eigenvalue again
+        r = run_cli(["sample", str(n), "--seed", "3"])
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        lam = np.array(doc["params"]["lambdas"])
+        assert np.min(lam[:-1] - lam[1:]) >= 10 * GAP_TOL
+        back = run_cli(["rho-to-param"], json.dumps(doc["rho"]))
+        assert back.returncode == 0
+        assert json.loads(back.stdout)["profile"] == [1] * n
 
 
 class TestExitCodeWiring:

@@ -36,6 +36,10 @@ from flagparam.sampling import (
 )
 
 N4_PROFILES = [(1, 1, 1, 1), (2, 2), (3, 1), (2, 1, 1)]
+# the rebuild groups runs of thin levels into panels: these profiles give
+# several full panels, a thick outermost level after a run of thin ones,
+# levels of mixed widths in one panel, and a panel that overflows by one level
+PANEL_PROFILES = [(1,) * 40, (1,) * 20 + (8,), (3, 1, 2, 1, 3), (2,) * 10]
 
 
 def zero_coordinates(profile):
@@ -199,6 +203,21 @@ def dense_reconstruct(coords, h):
     return g @ h.matrix()
 
 
+def sparse_unitary(n, rng):
+    """Block-diagonal Haar 4x4 blocks with three random row swaps.
+
+    Decomposed over a profile, such inputs leave the identity chart on runs
+    of levels, with identity-chart levels before, between and after them,
+    so charts fall inside and at the edges of the rebuild's panels.
+    """
+    sizes = [4] * (n // 4) + ([n % 4] if n % 4 else [])
+    rows = np.arange(n)
+    for _ in range(3):
+        i, j = rng.choice(n, 2, replace=False)
+        rows[[i, j]] = rows[[j, i]]
+    return block_diag(*[haar_unitary(s, rng) for s in sizes])[rows]
+
+
 def near_boundary_unitary(r, k, margin, rng):
     """Section over a plane whose identity-chart block has smallest singular value ``margin``."""
     p = min(r, k)
@@ -221,14 +240,25 @@ class TestFactoredSections:
         # rebuilds on coordinates whose factors are derived from X as well
         public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
         assert np.max(np.abs(reconstruct_unitary(public, h) - dense_reconstruct(public, h))) <= 1e-12
+        identity = BlockDiagonalUnitary.identity(profile)
+        assert np.max(np.abs(reconstruct_unitary(public) - dense_reconstruct(public, identity))) <= 1e-12
         return coords
 
     # k < r, k = r and k > r on the levels
-    @pytest.mark.parametrize("profile", [(1,) * 6, (3, 3), (1, 5), (2, 1, 4)])
+    @pytest.mark.parametrize("profile", [(1,) * 6, (3, 3), (1, 5), (2, 1, 4)] + PANEL_PROFILES)
     def test_haar(self, profile):
         rng = np.random.default_rng(30)
         for _ in range(10):
             self.check_parity(haar_unitary(sum(profile), rng), profile)
+
+    @pytest.mark.parametrize("profile", PANEL_PROFILES)
+    def test_sparse_permuted(self, profile):
+        rng = np.random.default_rng(39)
+        in_identity = []
+        for _ in range(4):
+            coords = self.check_parity(sparse_unitary(sum(profile), rng), profile)
+            in_identity += [sigma == identity_chart(len(sigma)) for sigma in coords.charts]
+        assert 0 < sum(in_identity) < len(in_identity)
 
     @pytest.mark.parametrize("profile", [(1,) * 6, (3, 3), (2, 1, 3)])
     def test_non_identity_chart(self, profile):
@@ -260,23 +290,26 @@ def swapped_unitary(rng):
 class TestPeelResults:
     """What the peel returns unchecked satisfies the public constructors' checks."""
 
-    PROFILES = [(1,) * 6, (3, 3), (2, 1, 3)]
+    PROFILES = [(1,) * 6, (3, 3), (2, 1, 3)] + PANEL_PROFILES
 
     @staticmethod
-    def inputs():
+    def inputs(n):
         rng = np.random.default_rng(33)
-        return [haar_unitary(6, rng) for _ in range(10)] + [swapped_unitary(rng)]
+        haar = [haar_unitary(n, rng) for _ in range(10)]
+        if n == 6:
+            return haar + [swapped_unitary(rng)]
+        return haar + [sparse_unitary(n, rng) for _ in range(3)]
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_residues_unitary(self, profile):
-        for g in self.inputs():
+        for g in self.inputs(sum(profile)):
             _, h = decompose_unitary(g, profile)
             assert h.profile == profile
             assert max(unitarity_defect(b) for b in h.blocks) <= 1e-12
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_public_reconstruction_accepts(self, profile):
-        for g in self.inputs():
+        for g in self.inputs(sum(profile)):
             coords, h = decompose_unitary(g, profile)
             public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
             assert public.charts == coords.charts
@@ -349,16 +382,41 @@ class TestReconstruct:
         with pytest.raises(ValidationError):
             reconstruct_unitary(coords, BlockDiagonalUnitary.identity((1, 3)))
 
-    @pytest.mark.parametrize("profile", [(1,) * 6, (3, 3), (2, 1, 3)])
+    @pytest.mark.parametrize("profile", [(1,) * 6, (3, 3), (2, 1, 3)] + PANEL_PROFILES)
     def test_public_coordinates_rebuild_from_x(self, profile):
         # publicly built coordinates carry ball_factors(X), so the rebuild
         # is the one from each level's thin SVD of X, in every chart
+        n = sum(profile)
         rng = np.random.default_rng(38)
-        for g in [haar_unitary(6, rng) for _ in range(5)] + [swapped_unitary(rng)]:
+        inputs = [haar_unitary(n, rng) for _ in range(5)]
+        inputs += [swapped_unitary(rng)] if n == 6 else [sparse_unitary(n, rng) for _ in range(3)]
+        identity = BlockDiagonalUnitary.identity(profile)
+        for g in inputs:
             coords, h = decompose_unitary(g, profile)
             public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
             expected = reconstruct_from_x(public, h)
             assert np.max(np.abs(reconstruct_unitary(public, h) - expected)) <= 1e-14
+            expected = reconstruct_from_x(public, identity)
+            assert np.max(np.abs(reconstruct_unitary(public) - expected)) <= 1e-14
+
+    # (1,)*40: 39 two-column levels fill panels of 16, 16 and 7; (2,)*10:
+    # nine four-column levels are a panel of 8 and a lone level, which
+    # takes the structured update; (8,)*4: thick levels only
+    @pytest.mark.parametrize(
+        "profile,solves", list(zip(PANEL_PROFILES, [3, 2, 1, 1])) + [((8,) * 4, 0)]
+    )
+    def test_thin_levels_share_panels(self, profile, solves, monkeypatch):
+        solve, calls = np.linalg.solve, []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        coords, _ = decompose_unitary(haar_unitary(sum(profile), 40), profile)
+        assert all(sigma == identity_chart(len(sigma)) for sigma in coords.charts)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        reconstruct_unitary(coords)
+        assert len(calls) == solves
 
 
 class TestFlagSection:

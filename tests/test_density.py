@@ -137,6 +137,14 @@ class TestRandomSpectrum:
         assert exc.value.code == "SPECTRUM_SAMPLING"
         assert time.perf_counter() - start < 0.5
 
+    def test_infeasible_message_is_short(self):
+        # it names n, m and the largest feasible gap, not the profile tuple
+        with pytest.raises(ValidationError) as exc:
+            random_spectrum((1,) * 256, np.random.default_rng(44), min_gap=1e-3)
+        message = str(exc.value)
+        assert "n=256" in message and "m=256" in message and "3.06373e-05" in message
+        assert len(message) < 200
+
     @pytest.mark.parametrize("profile", [(3, 1), (1, 2, 1), (1, 1, 1, 1)])
     def test_law_matches_rejection_sampler(self, profile):
         # the same uniform law on the region, without rejection
