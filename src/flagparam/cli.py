@@ -130,8 +130,15 @@ def cmd_sample(args):
     if args.n < 1:
         raise ValidationError("n must be >= 1", code="BAD_DIMENSION")
     profile = _parse_profile(args.profile, n=args.n) if args.profile else (1,) * args.n
-    # the default gap, or half the largest feasible gap when that is smaller
+    # the default gap, or half the largest feasible gap when that is smaller;
+    # below ten times GAP_TOL rho-to-param could merge eigenvalues again
     min_gap = min(MIN_SPECTRUM_GAP, 0.5 * largest_feasible_gap(profile))
+    if min_gap < 10 * GAP_TOL:
+        raise ValidationError(
+            f"n={args.n} with m={len(profile)} distinct eigenvalues leaves gaps of at most "
+            f"{2 * min_gap:.6g}; sample needs half of that to be >= 10*gap_tol={10 * GAP_TOL:g}",
+            code="SPECTRUM_SAMPLING",
+        )
     params = random_density_parameters(profile, np.random.default_rng(args.seed), min_gap)
     doc = {
         "params": iojson.params_to_json(params),

@@ -218,12 +218,11 @@ def decompose_unitary(
     return coords, _unchecked(BlockDiagonalUnitary, blocks=(cur,) + tuple(reversed(residues)))
 
 
-# A level joins a compact-WY panel of the rebuild when its Z = [[XV, 0],
-# [0, V]] has at most _THIN_LEVEL_COLUMNS columns: panelling (8,)-blocks
-# would zero-pad Y and double the GEMM work.  A panel holds at most
-# _PANEL_COLUMNS columns of Y; at 16 the (1,)*64 rebuild gains half as much.
-_THIN_LEVEL_COLUMNS = 8
-_PANEL_COLUMNS = 32
+# Rank-one levels (one cosine, Z = [[XV, 0], [0, V]] two columns wide) share
+# compact-WY panels of the rebuild, at most _PANEL_LEVELS to a panel; at 8 a
+# (1,)*64 round trip gains about half as much.  Wider levels keep the
+# structured update: panelling (4,)*n levels slows the rebuild by a quarter.
+_PANEL_LEVELS = 16
 
 
 def reconstruct_unitary(coords: FlagCoordinates, h=None):
@@ -235,13 +234,12 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
     LAPACK's ZUNGQR does.  A level's section is W = I + Z M Z* with
     Z = [[XV, 0], [0, V]] and M = [[-1/(1 + c), I], [-I, c - 1]] from the
     level's (XV, V, c) in ``coords.factors``, so no SVD is taken.  Runs of
-    thin levels (Z at most 8 columns wide) are applied as panels
-    I + Y T Y* in compact-WY form (Schreiber & Van Loan 1989), with T from
-    the UT transform (Joffrain et al. 2006):
-    T^-1 = blkdiag(M_i^-1) - strict_block_upper(Y* Y).  Every other level
-    is applied alone as two rank-p row updates.  Only a panel's outermost
-    level may leave the identity chart; its row scatter follows the panel.
-    ``h`` (identity when omitted) is applied block by block.
+    rank-one levels are applied as panels I + Y T Y* in compact-WY form
+    (Schreiber & Van Loan 1989), with T from the UT transform (Joffrain et
+    al. 2006): T^-1 = blkdiag(M_i^-1) - strict_block_upper(Y* Y).  Every
+    other level is applied alone as two rank-p row updates.  Only a panel's
+    outermost level may leave the identity chart; its row scatter follows
+    the panel.  ``h`` (identity when omitted) is applied block by block.
     """
     ks = coords.profile
     if h is not None and h.profile != ks:
@@ -251,7 +249,7 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
         )
     g = np.eye(coords.n, dtype=complex)
     levels = zip(level_dimensions(ks), coords.charts, coords.factors)
-    for panel in _panels(reversed(list(levels))):
+    for panel, moved in _panels(reversed(list(levels))):
         (nj, _), sigma, _ = panel[-1]
         blk = g[:nj, :nj]
         if len(panel) == 1:
@@ -259,7 +257,7 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
         else:
             y, tinv = _compact_wy(panel)
             blk += y @ np.linalg.solve(tinv, y.conj().T @ blk)
-        if sigma != identity_chart(nj):
+        if moved:
             g[np.array(sigma) - 1, :nj] = blk.copy()
     if h is not None:
         start = 0
@@ -273,24 +271,25 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
 def _panels(levels):
     """Group levels, innermost first, into the panels of :func:`reconstruct_unitary`.
 
-    Each panel lists its levels innermost first.  A thick level, or a thin
-    one that would overflow the panel, starts a new panel; a level outside
-    the identity chart ends its panel.
+    Yields each panel, its levels innermost first, with whether its
+    outermost level leaves the identity chart.  A wider level, or a rank-one
+    level that would overflow the panel, starts a new panel; a wider level,
+    or one outside the identity chart, ends its panel.
     """
-    panel, width = [], 0
+    panel = []
     for level in levels:
         (nj, _), sigma, (_, _, c) = level
-        cols = 2 * c.size
-        if panel and (cols > _THIN_LEVEL_COLUMNS or width + cols > _PANEL_COLUMNS):
-            yield panel
-            panel, width = [], 0
+        rank_one = c.size == 1
+        if panel and not (rank_one and len(panel) < _PANEL_LEVELS):
+            yield panel, False
+            panel = []
         panel.append(level)
-        width += cols
-        if cols > _THIN_LEVEL_COLUMNS or sigma != identity_chart(nj):
-            yield panel
-            panel, width = [], 0
+        moved = sigma != identity_chart(nj)
+        if moved or not rank_one:
+            yield panel, moved
+            panel = []
     if panel:
-        yield panel
+        yield panel, False
 
 
 def _apply_level(blk, level):
@@ -304,24 +303,23 @@ def _apply_level(blk, level):
 
 
 def _compact_wy(panel):
-    """(Y, T^-1) with W_outer ... W_inner = I + Y T Y* for a panel listed innermost first.
+    """(Y, T^-1) with W_outer ... W_inner = I + Y T Y* for rank-one levels listed innermost first.
 
     Y = [Z_outer, ..., Z_inner] is zero-padded to the outermost level's n_j
-    rows.  Each M_i has the inverse [[(c^2 - 1)/2, -(1 + c)/2],
-    [(1 + c)/2, -1/2]] (diagonal blocks), which needs no division.
+    rows; level i owns columns 2i and 2i + 1.  Each M_i has the inverse
+    [[(c^2 - 1)/2, -(1 + c)/2], [(1 + c)/2, -1/2]], which needs no division
+    and overwrites the diagonal blocks of the strict upper triangle of
+    -Y* Y.
     """
     panel = panel[::-1]
-    ps = np.array([c.size for _, _, (_, _, c) in panel])
-    offsets = np.concatenate(([0], np.cumsum(2 * ps)))
-    y = np.zeros((panel[0][0][0], offsets[-1]), dtype=complex)
-    for ((nj, kj), _, (xv, v, c)), o, p in zip(panel, offsets, ps):
-        y[: nj - kj, o : o + p] = xv
-        y[nj - kj : nj, o + p : o + 2 * p] = v
-    block = np.repeat(np.arange(len(panel)), 2 * ps)
-    tinv = np.where(block[:, None] < block[None, :], -(y.conj().T @ y), 0.0)
-    first = np.concatenate([o + np.arange(p) for o, p in zip(offsets, ps)])
-    second = first + np.repeat(ps, ps)
+    y = np.zeros((panel[0][0][0], 2 * len(panel)), dtype=complex)
+    for i, ((nj, kj), _, (xv, v, _)) in enumerate(panel):
+        y[: nj - kj, 2 * i] = xv[:, 0]
+        y[nj - kj : nj, 2 * i + 1] = v[:, 0]
+    tinv = np.triu(-(y.conj().T @ y), 1)
     c = np.concatenate([c for _, _, (_, _, c) in panel])
+    first = np.arange(0, y.shape[1], 2)
+    second = first + 1
     tinv[first, first] = 0.5 * (c - 1.0) * (c + 1.0)
     tinv[first, second] = -0.5 * (1.0 + c)
     tinv[second, first] = 0.5 * (1.0 + c)

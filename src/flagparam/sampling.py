@@ -42,7 +42,7 @@ def random_spectrum(profile, rng, min_gap=MIN_SPECTRUM_GAP):
     m = len(ks)
     karr = np.array(ks, dtype=float)
     steps = np.arange(m - 1, -1, -1, dtype=float)  # m - j
-    budget = _gap_budget(ks)
+    budget = float(karr @ steps)
     room = 1.0 - min_gap * budget
     if room <= 0.0:
         raise ValidationError(
@@ -55,15 +55,10 @@ def random_spectrum(profile, rng, min_gap=MIN_SPECTRUM_GAP):
     return Spectrum(ks, tuple(lam.tolist()))
 
 
-def _gap_budget(ks):
-    """sum_j k_j (m - j): how many gaps of size min_gap the trace has to pay for."""
-    m = len(ks)
-    return sum(k * (m - 1 - j) for j, k in enumerate(ks))
-
-
 def largest_feasible_gap(profile):
     """Supremum of the gaps a unit-trace spectrum with this profile can keep (inf for m = 1)."""
-    budget = _gap_budget(validate_profile(profile))
+    ks = validate_profile(profile)
+    budget = sum(k * (len(ks) - 1 - j) for j, k in enumerate(ks))  # sum_j k_j (m - j)
     return 1.0 / budget if budget else float("inf")
 
 

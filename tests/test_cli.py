@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flagparam.density import GAP_TOL
+from flagparam.errors import ValidationError
 from flagparam.iojson import matrix_from_json, matrix_to_json
 
 
@@ -272,6 +273,30 @@ class TestSample:
         back = run_cli(["rho-to-param"], json.dumps(doc["rho"]))
         assert back.returncode == 0
         assert json.loads(back.stdout)["profile"] == [1] * n
+
+    def test_gap_too_small_to_split_back(self):
+        # at n = 1001 half the largest feasible gap is 1.0e-6 < 10*GAP_TOL:
+        # the spectrum could not be split back, so sample refuses at once
+        r = run_cli(["sample", "1001"])
+        assert r.returncode == 2
+        error = json.loads(r.stdout)["error"]
+        assert error["code"] == "SPECTRUM_SAMPLING"
+        assert len(error["message"]) < 200
+
+    @pytest.mark.parametrize("n,samples", [(316, True), (317, False)])
+    def test_largest_sampled_n(self, n, samples, tmp_path, monkeypatch):
+        # half the largest feasible gap, 1 / (n (n - 1)), first drops below
+        # 10*GAP_TOL at n = 317; the sampler is stubbed, so nothing is drawn
+        from flagparam import cli
+
+        def stub(profile, rng, min_gap):
+            raise ValidationError("stub sampler reached", code="STUB")
+
+        monkeypatch.setattr(cli, "random_density_parameters", stub)
+        out = tmp_path / "out.json"
+        assert cli.main(["sample", str(n), "--out", str(out)]) == 2
+        code = json.loads(out.read_text())["error"]["code"]
+        assert code == ("STUB" if samples else "SPECTRUM_SAMPLING")
 
 
 class TestExitCodeWiring:

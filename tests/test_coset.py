@@ -36,10 +36,17 @@ from flagparam.sampling import (
 )
 
 N4_PROFILES = [(1, 1, 1, 1), (2, 2), (3, 1), (2, 1, 1)]
-# the rebuild groups runs of thin levels into panels: these profiles give
-# several full panels, a thick outermost level after a run of thin ones,
-# levels of mixed widths in one panel, and a panel that overflows by one level
-PANEL_PROFILES = [(1,) * 40, (1,) * 20 + (8,), (3, 1, 2, 1, 3), (2,) * 10]
+# the rebuild groups runs of rank-one levels into panels: these profiles give
+# several full panels, a wider outermost level after a run of rank-one ones,
+# rank-one levels between wider ones, wider levels only, and runs of rank-one
+# levels on either side of a wider one, the innermost of which has k = 3 > r
+PANEL_PROFILES = [
+    (1,) * 40,
+    (1,) * 20 + (8,),
+    (3, 1, 2, 1, 3),
+    (2,) * 10,
+    (1, 3, 1, 1, 2, 1, 1),
+]
 
 
 def zero_coordinates(profile):
@@ -399,13 +406,15 @@ class TestReconstruct:
             expected = reconstruct_from_x(public, identity)
             assert np.max(np.abs(reconstruct_unitary(public) - expected)) <= 1e-14
 
-    # (1,)*40: 39 two-column levels fill panels of 16, 16 and 7; (2,)*10:
-    # nine four-column levels are a panel of 8 and a lone level, which
-    # takes the structured update; (8,)*4: thick levels only
+    # (1,)*40: 39 rank-one levels fill panels of 16, 16 and 7; (1,)*20 +
+    # (8,): 19 of them fill two; (1, 3, 1, 1, 2, 1, 1): two rank-one runs
+    # share a panel each (publicly built coordinates join the k = 3 > r
+    # level, whose X has rank one, to the first); every other level, and
+    # every level of (8,)*4, takes the structured update
     @pytest.mark.parametrize(
-        "profile,solves", list(zip(PANEL_PROFILES, [3, 2, 1, 1])) + [((8,) * 4, 0)]
+        "profile,solves", list(zip(PANEL_PROFILES, [3, 2, 0, 0, 2])) + [((8,) * 4, 0)]
     )
-    def test_thin_levels_share_panels(self, profile, solves, monkeypatch):
+    def test_rank_one_levels_share_panels(self, profile, solves, monkeypatch):
         solve, calls = np.linalg.solve, []
 
         def counting_solve(*args, **kwargs):
@@ -414,9 +423,12 @@ class TestReconstruct:
 
         coords, _ = decompose_unitary(haar_unitary(sum(profile), 40), profile)
         assert all(sigma == identity_chart(len(sigma)) for sigma in coords.charts)
+        public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         reconstruct_unitary(coords)
         assert len(calls) == solves
+        reconstruct_unitary(public)
+        assert len(calls) == 2 * solves
 
 
 class TestFlagSection:
