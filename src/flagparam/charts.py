@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NoChartError, OutOfChartError, ValidationError
 from .linalg import (
-    PSD_TOL,
+    PROJECTOR_TOL,
     RANK_TOL,
     as_matrix,
     as_square,
@@ -111,7 +111,7 @@ def permutation_unitary(sigma):
     return u
 
 
-def ball_unitary(x, psd_tol=PSD_TOL):
+def ball_unitary(x):
     """Block unitary [[(I-XX*)^1/2, X], [-X*, (I-X*X)^1/2]] from a ball coordinate.
 
     Unitary for every X in the closed ball X*X <= I.  W(X) is the identity
@@ -124,7 +124,7 @@ def ball_unitary(x, psd_tol=PSD_TOL):
     callers that need one.  A 1-D ``x`` is treated as a single column.
     """
     x = as_matrix(x)
-    return _section_of_factors(x, *ball_factors(x, psd_tol))
+    return _section_of_factors(x, *ball_factors(x))
 
 
 def _section_of_factors(x, xv, v, c):
@@ -157,22 +157,22 @@ def projector_of_unitary(g, k):
     return projector_of_frame(frame_of_unitary(g, k))
 
 
-def frame_of_projector(p, tol=1e-8):
+def frame_of_projector(p):
     """Orthonormal frame spanning the range of a rank-k orthogonal projector.
 
     Columns are the eigenvectors of the top (unit) eigenvalues in descending
     eigenvalue order; deterministic for a given input.
     """
     p = as_square(p)
-    if hermiticity_defect(p) > tol:
+    if hermiticity_defect(p) > PROJECTOR_TOL:
         raise ValidationError("projector is not Hermitian", code="NOT_PROJECTOR")
     h = (p + p.conj().T) / 2
-    if frobenius(h @ h - h) > tol:
+    if frobenius(h @ h - h) > PROJECTOR_TOL:
         raise ValidationError("matrix is not idempotent", code="NOT_PROJECTOR")
     trace = float(np.trace(h).real)
     k = int(round(trace))
     n = h.shape[0]
-    if abs(trace - k) > tol or not 1 <= k <= n:
+    if abs(trace - k) > PROJECTOR_TOL or not 1 <= k <= n:
         raise ValidationError(f"projector trace {trace:.6f} is not integral", code="NOT_PROJECTOR")
     w, v = np.linalg.eigh(h)
     if w[n - k] < 0.5:
@@ -180,7 +180,7 @@ def frame_of_projector(p, tol=1e-8):
     return v[:, ::-1][:, :k]
 
 
-def frame_chart_factors(f, sigma, rank_tol=RANK_TOL):
+def frame_chart_factors(f, sigma):
     """Ball coordinate X of the span of a frame in chart sigma, with its section factors.
 
     Gathers the rows of f by sigma (none on the identity chart).  The
@@ -191,34 +191,34 @@ def frame_chart_factors(f, sigma, rank_tol=RANK_TOL):
     Golub 1973), so (XV, V, c) = (F_top V', W, S) are the factors of
     :func:`~flagparam.linalg.ball_factors` without a second SVD.  Returns
     (X, XV, V, c).  Raises :class:`OutOfChartError` when B is singular at
-    ``rank_tol``, i.e. the subspace lies outside this chart.  Accepting the
-    chart is the ball check: ||X||^2 = 1 - c_min^2 < 1 - rank_tol^2.
+    ``RANK_TOL``, i.e. the subspace lies outside this chart.  Accepting the
+    chart is the ball check: ||X||^2 = 1 - c_min^2 < 1 - RANK_TOL^2.
     """
     f = as_matrix(f)
     n, k = f.shape
-    return _chart_factors(f, validate_chart(sigma, k, n), rank_tol)
+    return _chart_factors(f, validate_chart(sigma, k, n))
 
 
-def _chart_factors(f, sigma, rank_tol):
+def _chart_factors(f, sigma):
     """:func:`frame_chart_factors` for a chart already known to be valid."""
     n, k = f.shape
     f_perm = _gather_rows(f, sigma)
     v_left, c, wh = np.linalg.svd(f_perm[n - k :, :].conj().T)
-    if c[-1] <= rank_tol:
+    if c[-1] <= RANK_TOL:
         raise OutOfChartError(
             f"block for chart {sigma} is singular: smallest singular value "
-            f"{c[-1]:.3e} <= rank_tol={rank_tol:.1e}"
+            f"{c[-1]:.3e} <= RANK_TOL={RANK_TOL:.1e}"
         )
     xv = f_perm[: n - k, :] @ v_left
     return xv @ wh, xv, wh.conj().T, c
 
 
-def chart_coordinates(p, sigma, rank_tol=RANK_TOL):
+def chart_coordinates(p, sigma):
     """Ball coordinate of a subspace, given by its projector, in chart sigma."""
-    return frame_chart_factors(frame_of_projector(p), sigma, rank_tol)[0]
+    return frame_chart_factors(frame_of_projector(p), sigma)[0]
 
 
-def chart_point(x, sigma, psd_tol=PSD_TOL):
+def chart_point(x, sigma):
     """Subspace (projector) with ball coordinate X in chart sigma.
 
     Inverse of :func:`chart_coordinates` on its chart.  The frame is the
@@ -229,26 +229,26 @@ def chart_point(x, sigma, psd_tol=PSD_TOL):
     x = as_matrix(x)
     r, k = x.shape
     sigma = validate_chart(sigma, k, r + k)
-    _, v, c = ball_factors(x, psd_tol)
+    _, v, c = ball_factors(x)
     f = _scatter_rows(np.vstack([x, identity_plus(v, c - 1.0)]), sigma)
     return projector_of_frame(f)
 
 
-def select_frame_chart(f, rank_tol=RANK_TOL):
+def select_frame_chart(f):
     """First chart, in priority order, containing the span of a frame.
 
     Returns ``(sigma, (X, XV, V, c))``, with the factors of
     :func:`frame_chart_factors` from the SVD that accepted the chart.  A
     chart contains the span when its k designated rows of f have smallest
-    singular value above ``rank_tol``.  The priority order puts the
+    singular value above ``RANK_TOL``.  The priority order puts the
     lexicographically smallest top (non-designated) row set first, so a
     depth-first search over top sets, trying each row in the top before
     leaving it out, meets the first valid chart first.  A row may join the
     top only while the rows outside the top keep k-th singular value above
-    ``rank_tol``: deleting rows from a matrix with at least k rows never
+    ``RANK_TOL``: deleting rows from a matrix with at least k rows never
     raises its k-th singular value (Cauchy interlacing), so a top that
     fails this has no valid completion, and pruning it is exact.  At finite
-    ``rank_tol`` the rows do not form a matroid, and a search that did not
+    ``RANK_TOL`` the rows do not form a matroid, and a search that did not
     backtrack out of a dead end could miss the scan's chart or raise on a
     valid frame.
 
@@ -258,10 +258,10 @@ def select_frame_chart(f, rank_tol=RANK_TOL):
     over the rows.  The completions it builds are valid charts by
     construction and are not re-validated.
     """
-    return _select_frame_chart(as_matrix(f), rank_tol)
+    return _select_frame_chart(as_matrix(f))
 
 
-def _select_frame_chart(f, rank_tol):
+def _select_frame_chart(f):
     """:func:`select_frame_chart` for a frame already coerced by ``as_matrix``."""
     n, k = f.shape
 
@@ -270,7 +270,7 @@ def _select_frame_chart(f, rank_tol):
         return [j for j in range(n) if j not in in_top]
 
     def passes(top):
-        return np.linalg.svd(f[outside(top), :], compute_uv=False)[k - 1] > rank_tol
+        return np.linalg.svd(f[outside(top), :], compute_uv=False)[k - 1] > RANK_TOL
 
     top, i, fresh = [], 0, True
     while True:
@@ -284,7 +284,7 @@ def _select_frame_chart(f, rank_tol):
             else:  # the first completion
                 sigma = identity_chart(n)
             try:
-                return sigma, _chart_factors(f, sigma, rank_tol)
+                return sigma, _chart_factors(f, sigma)
             except OutOfChartError:
                 pass
         fresh = not (need > 1 and passes(top + [i]))
@@ -295,38 +295,36 @@ def _select_frame_chart(f, rank_tol):
         # is the only chart.
         while need == 0 or i + n - k - len(top) > n:
             if not top:
-                raise NoChartError(
-                    f"no chart contains the given point at rank_tol={rank_tol:.1e}"
-                )
+                raise NoChartError(f"no chart contains the given point at RANK_TOL={RANK_TOL:.1e}")
             i, fresh = top.pop() + 1, True
 
 
-def select_chart(p, rank_tol=RANK_TOL):
+def select_chart(p):
     """First chart (in priority order) that contains the subspace of a projector.
 
     Together with :func:`local_section` this realizes a globally defined
     section.  Raises :class:`NoChartError` only when no chart passes
-    ``rank_tol``; for an orthonormal frame the maximal-volume k x k block
+    ``RANK_TOL``; for an orthonormal frame the maximal-volume k x k block
     has smallest singular value at least (1 + k(n - k))^(-1/2) (Goreinov and
     Tyrtyshnikov 2001), so this needs a malformed projector whenever that
-    bound exceeds ``rank_tol``.
+    bound exceeds ``RANK_TOL``.
     """
-    return select_frame_chart(frame_of_projector(p), rank_tol)[0]
+    return select_frame_chart(frame_of_projector(p))[0]
 
 
-def local_section(p, sigma, rank_tol=RANK_TOL):
+def local_section(p, sigma):
     """Canonical unitary over a subspace in chart sigma.
 
     Satisfies the section law: the span of its last k columns is the input
     subspace.
     """
-    factors = frame_chart_factors(frame_of_projector(p), sigma, rank_tol)
+    factors = frame_chart_factors(frame_of_projector(p), sigma)
     return _scatter_rows(_section_of_factors(*factors), sigma)
 
 
-def global_section(p, rank_tol=RANK_TOL):
+def global_section(p):
     """Canonical unitary over a subspace, using the first valid chart."""
-    sigma, factors = select_frame_chart(frame_of_projector(p), rank_tol)
+    sigma, factors = select_frame_chart(frame_of_projector(p))
     return _scatter_rows(_section_of_factors(*factors), sigma)
 
 

@@ -97,8 +97,7 @@ def cmd_rho_to_param(args):
     h = _hermitian_unit_trace(rho, _env_tol(EPS_HERMITIAN), _env_tol(TRACE_TOL))
     # accepted within tolerance: hand the exactly normalized matrix on
     h = h / float(np.trace(h).real)
-    gap_tol = args.gap_tol if args.gap_tol is not None else GAP_TOL
-    params = deparametrize(h, gap_tol=gap_tol)
+    params = deparametrize(h, gap_tol=args.gap_tol)
     _write_doc(iojson.params_to_json(params), args)
     return EXIT_OK
 
@@ -167,12 +166,12 @@ def build_parser():
 
     p = sub.add_parser("param-to-rho", help="density parameters JSON -> density matrix JSON")
     common(p)
-    p.add_argument("--gap-tol", type=float, default=None, help="spectrum gap tolerance")
+    p.add_argument("--gap-tol", type=float, default=GAP_TOL, help="spectrum gap tolerance")
     p.set_defaults(func=cmd_param_to_rho)
 
     p = sub.add_parser("rho-to-param", help="density matrix JSON -> density parameters JSON")
     common(p)
-    p.add_argument("--gap-tol", type=float, default=None, help="eigenvalue clustering tolerance")
+    p.add_argument("--gap-tol", type=float, default=GAP_TOL, help="eigenvalue clustering tolerance")
     p.set_defaults(func=cmd_rho_to_param)
 
     p = sub.add_parser("decompose-unitary", help="unitary JSON -> flag coordinates + blocks")

@@ -21,10 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
-    EPS_UNITARY,
-    RANK_TOL,
     as_matrix,
-    as_square,
     block_diag,
     frobenius,
     lower_triangularize,
@@ -139,7 +136,7 @@ class BlockDiagonalUnitary:
     blocks: tuple
 
     def __post_init__(self):
-        blocks = tuple(require_unitary(as_square(b), EPS_UNITARY) for b in self.blocks)
+        blocks = tuple(require_unitary(b) for b in self.blocks)
         if not blocks:
             raise ValidationError("at least one block is required", code="PROFILE_VALUES")
         object.__setattr__(self, "blocks", blocks)
@@ -166,12 +163,7 @@ def coordinates_distance(a: FlagCoordinates, b: FlagCoordinates) -> float:
     return max(frobenius(xa - xb) for xa, xb in zip(a.xs, b.xs))
 
 
-def decompose_unitary(
-    g,
-    profile,
-    rank_tol=RANK_TOL,
-    unit_tol=EPS_UNITARY,
-):
+def decompose_unitary(g, profile):
     """Canonical coset decomposition of a unitary over a profile.
 
     Peels levels from the outside in: the last k_j columns of the current
@@ -189,15 +181,15 @@ def decompose_unitary(
     depend only on the coset of g modulo block-diagonal factors.  Both are
     built without re-running their constructors' checks, which hold by
     construction: the chart search accepts a level only when its cosines
-    exceed ``rank_tol``, so every X lies strictly inside the ball.
+    exceed ``RANK_TOL``, so every X lies strictly inside the ball.
     """
-    g = require_unitary(g, unit_tol)
+    g = require_unitary(g)
     ks = validate_profile(profile, n=g.shape[0])
     cur = g
     xs, charts, factors, residues = [], [], [], []
     for nj, kj in level_dimensions(ks):
         r = nj - kj
-        sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:], rank_tol)
+        sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:])
         rows = _gather_rows(cur, sigma)
         top, bottom = rows[:r], rows[r:]
         xvh, vh = xv.conj().T, v.conj().T
@@ -336,14 +328,14 @@ def flag_section(coords: FlagCoordinates):
     return reconstruct_unitary(coords)
 
 
-def section_from_projective_factors(p, rank_tol=RANK_TOL):
+def section_from_projective_factors(p):
     """Section over a k-plane assembled from k rank-one ball factors.
 
     Only defined on the identity chart.  The plane's section is
     right-normalized so the bottom block is lower triangular with positive
     diagonal, then peeled by :func:`decompose_unitary` over the profile
     (n - k, 1, ..., 1).  Each diagonal entry is a rank-one level's cosine
-    and exceeds ``rank_tol``, the chart tolerance, so every level stays in
+    and exceeds ``RANK_TOL``, the chart tolerance, so every level stays in
     the identity chart.  Each peeled vector x_i has exact zeros in its trailing positions
     (all but the first n - k and the peeled ones), which is what makes the
     factors cheap to write down.  Returns the peeled vectors, outermost
@@ -354,11 +346,11 @@ def section_from_projective_factors(p, rank_tol=RANK_TOL):
     n, k = f.shape
     if k == n:
         raise ValidationError("the full plane has no chart coordinate", code="BAD_DIMENSION")
-    x0_factors = frame_chart_factors(f, identity_chart(n), rank_tol)  # raises OutOfChartError
+    x0_factors = frame_chart_factors(f, identity_chart(n))  # raises OutOfChartError
     g = _section_of_factors(*x0_factors)
-    u_tri, _ = lower_triangularize(g[n - k :, n - k :], rank_tol)
+    u_tri, _ = lower_triangularize(g[n - k :, n - k :])
     g[:, n - k :] = g[:, n - k :] @ u_tri
-    coords, _ = decompose_unitary(g, (n - k,) + (1,) * k, rank_tol)
+    coords, _ = decompose_unitary(g, (n - k,) + (1,) * k)
     return [x.ravel() for x in coords.xs], reconstruct_unitary(coords)
 
 

@@ -15,11 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapAmbiguityError, ValidationError
-from .linalg import EPS_HERMITIAN, PSD_TOL, RANK_TOL, as_square, hermiticity_defect
+from .linalg import EPS_HERMITIAN, PSD_TOL, as_square, hermiticity_defect
 from .coset import FlagCoordinates, decompose_unitary, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
 TRACE_TOL = 1e-12
+
+
+def _check_gap_tol(gap_tol):
+    """gap_tol as a float; raises ``BAD_TOL`` unless it is finite and nonnegative."""
+    tol = float(gap_tol)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"gap_tol must be finite and >= 0, got {tol!r}", code="BAD_TOL")
+    return tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +36,7 @@ class Spectrum:
 
     ``lambdas[j]`` is repeated ``profile[j]`` times on the diagonal; the
     weighted sum over the profile is 1.  Consecutive values must be separated
-    by more than ``gap_tol``.
+    by more than ``gap_tol``, which must be finite and nonnegative.
     """
 
     profile: tuple
@@ -36,6 +44,7 @@ class Spectrum:
     gap_tol: float = GAP_TOL
 
     def __post_init__(self):
+        gap_tol = _check_gap_tol(self.gap_tol)
         profile = validate_profile(self.profile)
         lambdas = tuple(float(v) for v in self.lambdas)
         if not np.all(np.isfinite(lambdas)):
@@ -45,9 +54,9 @@ class Spectrum:
                 f"{len(lambdas)} eigenvalues for {len(profile)} blocks", code="LAMBDA_COUNT"
             )
         gaps = [a - b for a, b in zip(lambdas, lambdas[1:])]
-        if any(g <= self.gap_tol for g in gaps):
+        if any(g <= gap_tol for g in gaps):
             raise ValidationError(
-                f"eigenvalues must decrease by more than gap_tol={self.gap_tol:.1e}: {lambdas}",
+                f"eigenvalues must decrease by more than gap_tol={gap_tol:.1e}: {lambdas}",
                 code="LAMBDA_ORDER",
             )
         # tolerate the tiny negative tail produced by clustering a PSD spectrum
@@ -60,7 +69,7 @@ class Spectrum:
             )
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "gap_tol", float(self.gap_tol))
+        object.__setattr__(self, "gap_tol", gap_tol)
 
     @property
     def n(self):
@@ -118,39 +127,35 @@ def _hermitian_unit_trace(rho, herm_tol, trace_tol):
     return h
 
 
-def _require_psd(w, psd_tol):
-    """Reject ascending eigenvalues w whose smallest is below -psd_tol."""
+def _require_psd(w):
+    """Reject ascending eigenvalues w whose smallest is below -PSD_TOL."""
     low = float(w[0])
-    if low < -psd_tol:
+    if low < -PSD_TOL:
         raise ValidationError(f"negative eigenvalue {low:.3e}", code="NOT_DENSITY_PSD")
 
 
-def require_density(rho, herm_tol=EPS_HERMITIAN, psd_tol=PSD_TOL, trace_tol=TRACE_TOL):
+def require_density(rho):
     """Validate a density matrix: Hermitian, PSD within tolerance, unit trace."""
-    h = _hermitian_unit_trace(rho, herm_tol, trace_tol)
-    _require_psd(np.linalg.eigvalsh(h), psd_tol)
+    h = _hermitian_unit_trace(rho, EPS_HERMITIAN, TRACE_TOL)
+    _require_psd(np.linalg.eigvalsh(h))
     return h
 
 
-def deparametrize(
-    rho,
-    gap_tol=GAP_TOL,
-    rank_tol=RANK_TOL,
-    herm_tol=EPS_HERMITIAN,
-    psd_tol=PSD_TOL,
-):
+def deparametrize(rho, gap_tol=GAP_TOL):
     """Recover spectrum and flag coordinates from a density matrix.
 
     Eigenvalues are sorted in decreasing order and clustered: a gap at or
     below ``gap_tol`` merges, a gap of at least ``10 * gap_tol`` splits, and
     anything in between raises :class:`GapAmbiguityError` because the
-    multiplicity profile would be unstable at that tolerance.  The
-    eigenvector unitary is then decomposed over the detected profile; its
-    block-diagonal residue is commutant freedom and is dropped.
+    multiplicity profile would be unstable at that tolerance; a ``gap_tol``
+    that is negative or not finite raises ``BAD_TOL``.  The eigenvector
+    unitary is then decomposed over the detected profile; its block-diagonal
+    residue is commutant freedom and is dropped.
     """
-    h = _hermitian_unit_trace(rho, herm_tol, TRACE_TOL)
+    gap_tol = _check_gap_tol(gap_tol)
+    h = _hermitian_unit_trace(rho, EPS_HERMITIAN, TRACE_TOL)
     w, v = np.linalg.eigh(h)
-    _require_psd(w, psd_tol)
+    _require_psd(w)
     w = w[::-1]
     v = v[:, ::-1]
     gaps = w[:-1] - w[1:]
@@ -165,7 +170,7 @@ def deparametrize(
     sizes = np.diff(np.append(starts, w.size))
     profile = tuple(sizes.tolist())
     spectrum = Spectrum(profile, tuple((np.add.reduceat(w, starts) / sizes).tolist()), gap_tol)
-    coords, _ = decompose_unitary(v, profile, rank_tol)
+    coords, _ = decompose_unitary(v, profile)
     return DensityParameters(spectrum, coords)
 
 

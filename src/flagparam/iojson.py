@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .coset import FlagCoordinates, validate_profile
-from .density import DensityParameters, Spectrum
+from .density import GAP_TOL, DensityParameters, Spectrum
 
 
 def matrix_to_json(a) -> dict:
@@ -69,7 +69,7 @@ def _json_array(value, kinds, message):
     raise ValidationError(f"{message}, got {value!r}", code="BAD_JSON")
 
 
-def params_from_json(doc, gap_tol=None) -> DensityParameters:
+def params_from_json(doc, gap_tol=GAP_TOL) -> DensityParameters:
     if not isinstance(doc, dict):
         raise ValidationError("parameter document must be an object", code="BAD_JSON")
     for key in ("profile", "lambdas", "levels"):
@@ -92,9 +92,8 @@ def params_from_json(doc, gap_tol=None) -> DensityParameters:
             code="PROFILE_SUM",
         )
     coords = FlagCoordinates(profile, tuple(xs), tuple(charts))
-    kwargs = {} if gap_tol is None else {"gap_tol": gap_tol}
     lambdas = _json_array(doc["lambdas"], (int, float), "lambdas must be an array of numbers")
-    spectrum = Spectrum(profile, lambdas, **kwargs)
+    spectrum = Spectrum(profile, lambdas, gap_tol)
     return DensityParameters(spectrum, coords)
 
 

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .errors import NotPSDError, PrincipalRangeWarning
-from .linalg import PSD_TOL, as_matrix, ball_factors, block_rotation, identity_plus
+from .linalg import as_matrix, ball_factors, block_rotation, identity_plus
 
 
 def generator_matrix(b):
@@ -75,7 +75,7 @@ def ball_to_generator(x):
     return (u * np.arcsin(s)) @ vh
 
 
-def sqrt_complement(x, psd_tol=PSD_TOL):
+def sqrt_complement(x):
     """(I - X X*)^(1/2) as a rank-min(k1, k2) update of the identity.
 
     Uses the rank-structured identity I + XV diag(-1 / (1 + c)) (XV)* from
@@ -86,5 +86,5 @@ def sqrt_complement(x, psd_tol=PSD_TOL):
     ``ball_unitary(x)``.  Raises :class:`NotPSDError` when X*X has an
     eigenvalue above 1.
     """
-    xv, _, c = ball_factors(as_matrix(x), psd_tol)
+    xv, _, c = ball_factors(as_matrix(x))
     return identity_plus(xv, -1.0 / (1.0 + c))

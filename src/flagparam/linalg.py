@@ -2,8 +2,8 @@
 
 Everything here works on plain ``numpy`` arrays (``complex128``) and is a
 pure function of its inputs: no global state, safe for concurrent use.
-The module-level tolerance constants are the package-wide defaults; each
-operation also accepts them as keyword arguments.
+The module-level constants are the package's tolerances; only the reference
+``hermitian_sqrt`` takes its own as keyword arguments.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .errors import NotPSDError, SingularInputError, ValidationError
 EPS_UNITARY = 1e-10    # allowed ||U*U - I||_F for a matrix treated as unitary
 EPS_HERMITIAN = 1e-12  # allowed ||A - A*||_F for a matrix treated as Hermitian
 PSD_TOL = 1e-10        # eigenvalues above -PSD_TOL count as nonnegative
+PROJECTOR_TOL = 1e-8   # allowed Hermiticity, idempotency and trace defects of a projector
 # Smallest singular value that still counts as nonsingular.  Every frame with
 # n <= 256 has a chart above it (max-volume bound, see charts.select_chart).
 RANK_TOL = 1e-4
@@ -96,7 +97,7 @@ def hermitian_sqrt(a, psd_tol=PSD_TOL, herm_tol=EPS_HERMITIAN):
     return (s + s.conj().T) / 2
 
 
-def ball_factors(x, psd_tol=PSD_TOL):
+def ball_factors(x):
     """Factored square roots of a closed-ball coordinate X (r x k, X*X <= I).
 
     From the thin SVD X = U S V*, returns (XV, V, c) with V the k x p right
@@ -108,11 +109,11 @@ def ball_factors(x, psd_tol=PSD_TOL):
 
     Both are rank-p corrections of the identity; neither c nor -1/(1 + c)
     cancels anywhere in the closed ball.  Raises :class:`NotPSDError` when
-    X*X has an eigenvalue above 1 + ``psd_tol``; singular values up to that
+    X*X has an eigenvalue above 1 + ``PSD_TOL``; singular values up to that
     bound count as 1.
     """
     top, factors = _thin_svd_factors(x)
-    if top**2 > 1.0 + psd_tol:
+    if top**2 > 1.0 + PSD_TOL:
         raise NotPSDError(f"X*X has eigenvalue {top**2:.6e} above 1")
     return factors
 
@@ -163,43 +164,39 @@ def block_rotation(top, x, bottom):
     return w
 
 
-def polar_unitary(y, rank_tol=RANK_TOL):
+def polar_unitary(y):
     """Polar factors of the adjoint: Y* = U P with U unitary, P = |Y*| PSD.
 
     Computed from the SVD of Y*; U is unique when Y is nonsingular.
     Equivalently Y = P U*, the normalization used by the chart maps.
     Raises :class:`SingularInputError` when the smallest singular value of Y
-    is at or below ``rank_tol``.
+    is at or below ``RANK_TOL``.
     """
     y = as_square(y)
     v, s, wh = np.linalg.svd(y.conj().T)
-    if s.size and s[-1] <= rank_tol:
-        raise SingularInputError(
-            f"smallest singular value {s[-1]:.3e} <= rank_tol={rank_tol:.1e}"
-        )
+    if s.size and s[-1] <= RANK_TOL:
+        raise SingularInputError(f"smallest singular value {s[-1]:.3e} <= RANK_TOL={RANK_TOL:.1e}")
     u = v @ wh
     p = (wh.conj().T * s) @ wh
     return u, (p + p.conj().T) / 2
 
 
-def lower_triangularize(y, rank_tol=RANK_TOL):
+def lower_triangularize(y):
     """Unique U in U(k) with T = Y U lower triangular and positive diagonal.
 
     Householder LQ: the QR factorization Y* = Q R gives Y Q = R*, lower
     triangular, and absorbing the phases of R's diagonal into Q makes the
     diagonal positive.  |r_jj| is the distance of row j of Y from the span
     of the rows before it; raises :class:`SingularInputError` when it is at
-    or below ``rank_tol``.
+    or below ``RANK_TOL``.
     """
     y = as_square(y)
     q, r = np.linalg.qr(y.conj().T)
     d = np.diagonal(r)
-    low = np.flatnonzero(np.abs(d) <= rank_tol)
+    low = np.flatnonzero(np.abs(d) <= RANK_TOL)
     if low.size:
         j = int(low[0])
-        raise SingularInputError(
-            f"row {j} is dependent: residual norm {abs(d[j]):.3e} <= rank_tol"
-        )
+        raise SingularInputError(f"row {j} is dependent: residual norm {abs(d[j]):.3e} <= RANK_TOL")
     u = q * (d / np.abs(d))
     return u, y @ u
 

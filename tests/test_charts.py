@@ -288,13 +288,13 @@ class TestChartSelection:
             select_chart(np.full((3, 3), 0.3, dtype=complex))
 
 
-def scan_chart(f, rank_tol=RANK_TOL):
+def scan_chart(f):
     """Reference selection: try every chart in priority order, return the
-    first whose designated rows have smallest singular value above rank_tol."""
+    first whose designated rows have smallest singular value above RANK_TOL."""
     n, k = f.shape
     for sigma in chart_permutations(n, k):
         rows = np.array(sigma[n - k :]) - 1
-        if np.linalg.svd(f[rows, :], compute_uv=False)[-1] > rank_tol:
+        if np.linalg.svd(f[rows, :], compute_uv=False)[-1] > RANK_TOL:
             return sigma
     return None
 
@@ -333,7 +333,7 @@ def near_tolerance_frame(rng, n, k):
 def small_row_frame(rng, n, k):
     """Haar frame with row n and some other rows shrunk to norm in [0.5, 2] * RANK_TOL.
 
-    Row sets holding a short row pass or fail by a hair at rank_tol, which
+    Row sets holding a short row pass or fail by a hair at RANK_TOL, which
     is where a search without backtracking dead-ends.
     """
     f = frame_of_unitary(haar_unitary(n, rng), k)
@@ -348,7 +348,7 @@ def short_last_row_frame(q, short=1.1 * RANK_TOL):
     """Rows of the unitary q, then a row of norm ``short`` along the first column.
 
     Each row of q has at least a sixth of its weight on the first column, so
-    the short row passes rank_tol alone but fails together with any other row.
+    the short row passes RANK_TOL alone but fails together with any other row.
     """
     f = np.vstack([q, np.eye(1, q.shape[1])]).astype(complex)
     f[-1] *= short
@@ -381,7 +381,7 @@ class TestFrameChartSelection:
     def test_near_tolerance_frames(self):
         mismatches, off_identity = self.compare(near_tolerance_frame, 41, 1500)
         assert mismatches == []
-        # eps straddles rank_tol, so both outcomes of the boundary test occur
+        # eps straddles RANK_TOL, so both outcomes of the boundary test occur
         assert 100 < off_identity < 1400
 
     def test_small_row_frames(self):

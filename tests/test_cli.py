@@ -168,6 +168,22 @@ class TestRhoToParam:
         assert np.abs(back - rho).max() <= 1e-12
 
 
+class TestGapTolFlag:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_rho_to_param_rejects_bad_gap_tol(self, value):
+        # non-degenerate: a nan tolerance used to merge it into the maximally mixed state
+        rho = np.diag([0.4, 0.3, 0.2, 0.1])
+        r = run_cli(["rho-to-param", "--gap-tol", value], json.dumps(matrix_to_json(rho)))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "BAD_TOL"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_param_to_rho_rejects_bad_gap_tol(self, value):
+        r = run_cli(["param-to-rho", "--gap-tol", value], json.dumps(golden_31_params()))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "BAD_TOL"
+
+
 class TestDecomposeUnitary:
     def test_identity(self):
         r = run_cli(
@@ -317,7 +333,7 @@ class TestExitCodeWiring:
         from flagparam import cli
         from flagparam.errors import NotPSDError
 
-        def boom(params, psd_tol=None):
+        def boom(params):
             raise NotPSDError("synthetic numeric failure")
 
         monkeypatch.setattr(cli, "parametrize", boom)

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -326,7 +327,7 @@ class TestPeelResults:
     @pytest.mark.parametrize("excess", [1e-5, 1e-6, 1e-7])
     @pytest.mark.parametrize("r,k", [(3, 2), (2, 3), (3, 3)])
     def test_near_boundary_roundtrip(self, r, k, excess):
-        # margins just above rank_tol, the nearest the identity chart gets
+        # margins just above RANK_TOL, the nearest the identity chart gets
         # to the sphere; the rebuild uses the chart block's own cosines, and
         # re-deriving them from ||X|| ~ 1 would lose about eps / margin
         rng = np.random.default_rng(36)
@@ -336,9 +337,22 @@ class TestPeelResults:
             assert coords.charts == (identity_chart(r + k),)
             assert np.max(np.abs(reconstruct_unitary(coords, h) - g)) <= 1e-13
 
+    @pytest.mark.parametrize("r,k", [(1, 3), (2, 3), (2, 5)])
+    def test_tiny_angle_roundtrip(self, r, k):
+        # with k > r, X has k - r null directions of cosine exactly 1, and the
+        # cosine of a singular value below about 1e-8 rounds to 1 as well: a
+        # peel that kept only the r smallest cosines could drop a live direction
+        rng = np.random.default_rng(37)
+        for s in itertools.combinations_with_replacement([1e-6, 1e-8, 1e-9, 1e-12, 0.0], r):
+            x = haar_unitary(r, rng) @ np.diag(s) @ haar_unitary(k, rng)[:r, :]
+            g = ball_unitary(x) @ random_block_diagonal((r, k), rng).matrix()
+            coords, h = decompose_unitary(g, (r, k))
+            assert np.max(np.abs(reconstruct_unitary(coords, h) - g)) <= 1e-13
+            assert max(unitarity_defect(b) for b in h.blocks) <= 1e-12
+
     def test_sphere_rounding_frame_takes_next_chart(self):
         # in the identity chart this frame's top rounds to X = 1, on the
-        # sphere; its cosine 1.1e-8 is below rank_tol, so the chart search
+        # sphere; its cosine 1.1e-8 is below RANK_TOL, so the chart search
         # moves on, and chart acceptance is the only ball check
         s = 1.1e-8
         g = np.array([[-s, 1.0], [1.0, s]], dtype=complex)

@@ -67,6 +67,12 @@ class TestSpectrum:
             Spectrum((3, 1), lambdas)
         assert exc.value.code == "NOT_FINITE"
 
+    @pytest.mark.parametrize("gap_tol", [np.nan, np.inf, -1.0])
+    def test_bad_gap_tol(self, gap_tol):
+        with pytest.raises(ValidationError) as exc:
+            Spectrum((3, 1), (0.3, 0.1), gap_tol=gap_tol)
+        assert exc.value.code == "BAD_TOL"
+
 
 class TestParametrize:
     def test_zero_coordinates_give_diagonal(self):
@@ -240,6 +246,17 @@ class TestDeparametrize:
         mu = 0.25 - gap / 2
         params = deparametrize(diag_density(lam, lam, mu, mu))
         assert params.spectrum.profile == (4,)
+
+    @pytest.mark.parametrize("gap_tol", [-1.0, np.nan, np.inf])
+    def test_bad_gap_tol(self, gap_tol):
+        # -1 used to return lambdas (0.5, 0.25, 0.25, 0.0), which are not strictly decreasing
+        with pytest.raises(ValidationError) as exc:
+            deparametrize(diag_density(0.5, 0.25, 0.25, 0.0), gap_tol=gap_tol)
+        assert exc.value.code == "BAD_TOL"
+
+    def test_zero_gap_tol_splits_distinct_values(self):
+        params = deparametrize(diag_density(0.5, 0.25, 0.25, 0.0), gap_tol=0.0)
+        assert params.spectrum.profile == (1, 2, 1)
 
     def test_spectrum_invariance_under_conjugation(self):
         rng = np.random.default_rng(6)

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -213,3 +214,30 @@ class TestHaarUnitary:
         traces = np.array([np.trace(haar_unitary(5, rng)) for _ in range(2000)])
         assert abs(np.mean(traces)) <= 0.08
         assert abs(np.mean(np.abs(traces) ** 2) - 1.0) <= 0.12
+
+
+class TestTolerancesAreConstants:
+    # the tolerances are the module constants; a caller sets only gap_tol and,
+    # through the CLI, FLAGPARAM_TOL
+    KNOBS = {"rank_tol", "psd_tol", "unit_tol", "herm_tol", "trace_tol", "tol"}
+    # the eigendecomposition reference the tests check against
+    KEEP = {"hermitian_sqrt"}
+
+    def test_no_tolerance_keywords(self):
+        from flagparam import charts, linalg
+
+        walked = [
+            obj
+            for obj in vars(flagparam).values()
+            if inspect.isfunction(obj) or inspect.isclass(obj)
+        ]
+        walked += [charts.select_frame_chart, charts.frame_chart_factors, linalg.ball_factors]
+        knobs = set()
+        for obj in walked:
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # a class with no Python-level signature
+                continue
+            if obj.__name__ not in self.KEEP:
+                knobs |= {f"{obj.__name__}.{p}" for p in params if p in self.KNOBS}
+        assert not knobs
