@@ -11,8 +11,11 @@ Subcommands::
 Exit codes: 0 success, 1 verification failure, 2 validation error,
 3 numeric failure, 4 eigenvalue-gap ambiguity.  Validation and numeric
 failures emit a machine-readable ``{"error": {"code", "message"}}`` object.
-The environment variable ``FLAGPARAM_TOL`` overrides the default input
-validation tolerances (unitarity, hermiticity, trace).
+``rho-to-param --gap-tol`` sets the eigenvalue clustering threshold;
+``param-to-rho`` needs only strictly decreasing eigenvalues.  The
+environment variable ``FLAGPARAM_TOL`` overrides the default input
+validation tolerances (unitarity, hermiticity, trace); it must be finite
+and >= 0.
 """
 
 from __future__ import annotations
@@ -35,13 +38,7 @@ from .errors import (
     SingularInputError,
     ValidationError,
 )
-from .linalg import (
-    EPS_HERMITIAN,
-    EPS_UNITARY,
-    frobenius,
-    require_unitary,
-    unitarity_defect,
-)
+from .linalg import EPS_HERMITIAN, EPS_UNITARY, as_square, frobenius, require_tol, unitarity_defect
 from .sampling import MIN_SPECTRUM_GAP, largest_feasible_gap, random_density_parameters
 
 EXIT_OK = 0
@@ -56,22 +53,23 @@ def _env_tol(default):
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValidationError(f"FLAGPARAM_TOL={raw!r} is not a number", code="BAD_TOL")
+    return require_tol(value, "FLAGPARAM_TOL")
 
 
 def _read_doc(args):
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fp:
-            return iojson.load(fp)
+            return iojson.loads(fp.read())
     return iojson.loads(sys.stdin.read())
 
 
 def _write_doc(doc, args):
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fp:
-            iojson.dump(doc, fp)
+            fp.write(iojson.dumps(doc))
     else:
         sys.stdout.write(iojson.dumps(doc))
 
@@ -85,7 +83,7 @@ def _parse_profile(text, n=None):
 
 
 def cmd_param_to_rho(args):
-    params = iojson.params_from_json(_read_doc(args), gap_tol=args.gap_tol)
+    params = iojson.params_from_json(_read_doc(args))
     _write_doc(iojson.matrix_to_json(parametrize(params)), args)
     return EXIT_OK
 
@@ -103,9 +101,14 @@ def cmd_rho_to_param(args):
 
 
 def cmd_decompose_unitary(args):
-    g = iojson.matrix_from_json(_read_doc(args))
-    g = require_unitary(g, _env_tol(EPS_UNITARY))
-    if unitarity_defect(g) > EPS_UNITARY:
+    g = as_square(iojson.matrix_from_json(_read_doc(args)))
+    tol = _env_tol(EPS_UNITARY)
+    defect = unitarity_defect(g)
+    if defect > tol:
+        raise ValidationError(
+            f"matrix is not unitary: defect {defect:.3e} > {tol:.3e}", code="NOT_UNITARY"
+        )
+    if defect > EPS_UNITARY:
         # accepted under a loosened tolerance: decompose the closest unitary
         w, _, vh = np.linalg.svd(g)
         g = w @ vh
@@ -166,7 +169,6 @@ def build_parser():
 
     p = sub.add_parser("param-to-rho", help="density parameters JSON -> density matrix JSON")
     common(p)
-    p.add_argument("--gap-tol", type=float, default=GAP_TOL, help="spectrum gap tolerance")
     p.set_defaults(func=cmd_param_to_rho)
 
     p = sub.add_parser("rho-to-param", help="density matrix JSON -> density parameters JSON")

@@ -170,44 +170,37 @@ def decompose_unitary(g, profile):
     n_j x n_j block are a frame of the level's plane; it is chart-selected
     and mapped to its ball coordinate X, the section W(X) is divided out of
     the rows gathered by the chart (none are gathered on the identity
-    chart), and the upper-left block carries on.  W(X)* is applied in
-    factored form from the (XV, V, c) factors that the chart search reads
-    off the SVD of the chart block it accepts (see
-    :func:`~flagparam.charts.frame_chart_factors`): only the two diagonal
-    blocks of the product are formed, each as a rank-k_j update, and
-    neither W(X) nor a projector is built.  The factors travel with the
-    coordinates, so :func:`reconstruct_unitary` reuses them.  Returns the
+    chart), and the upper-left block carries on.  W(X)* = W(-X), because
+    W's diagonal blocks depend on X only through XX* and X*X, so the peel
+    applies the rebuild's level kernel to the (-XV, V, c) factors that the
+    chart search reads off the SVD of the chart block it accepts (see
+    :func:`~flagparam.charts.frame_chart_factors`).  The factors travel with
+    the coordinates, so :func:`reconstruct_unitary` reuses them.  Returns the
     flag coordinates and the unique block-diagonal residue; the coordinates
     depend only on the coset of g modulo block-diagonal factors.  Both are
     built without re-running their constructors' checks, which hold by
     construction: the chart search accepts a level only when its cosines
-    exceed ``RANK_TOL``, so every X lies strictly inside the ball.
+    exceed ``RANK_TOL``, so every X lies strictly inside the ball.  ``g``
+    is not modified.
     """
-    g = require_unitary(g)
-    ks = validate_profile(profile, n=g.shape[0])
-    cur = g
+    cur = require_unitary(g).copy()
+    ks = validate_profile(profile, n=cur.shape[0])
     xs, charts, factors, residues = [], [], [], []
     for nj, kj in level_dimensions(ks):
         r = nj - kj
         sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:])
         rows = _gather_rows(cur, sigma)
-        top, bottom = rows[:r], rows[r:]
-        xvh, vh = xv.conj().T, v.conj().T
-        # [[A, -X], [X*, C]] @ rows with A = I + XV diag(-1/(1+c)) (XV)*,
-        # C = I + V diag(c-1) V* and X = XV V*: the two diagonal blocks.
-        residues.append(
-            bottom[:, r:] + v @ (xvh @ top[:, r:] + (c - 1.0)[:, None] * (vh @ bottom[:, r:]))
-        )
-        cur = top[:, :r] + xv @ (
-            (-1.0 / (1.0 + c))[:, None] * (xvh @ top[:, :r]) - vh @ bottom[:, :r]
-        )
+        _apply_level(rows, ((nj, kj), sigma, (-xv, v, c)))
+        residues.append(rows[r:, r:].copy())
+        cur = rows[:r, :r]
         xs.append(x)
         charts.append(sigma)
         factors.append((xv, v, c))
     coords = _unchecked(
         FlagCoordinates, profile=ks, xs=tuple(xs), charts=tuple(charts), factors=tuple(factors)
     )
-    return coords, _unchecked(BlockDiagonalUnitary, blocks=(cur,) + tuple(reversed(residues)))
+    blocks = (cur.copy(),) + tuple(reversed(residues))
+    return coords, _unchecked(BlockDiagonalUnitary, blocks=blocks)
 
 
 # Rank-one levels (one cosine, Z = [[XV, 0], [0, V]] two columns wide) share

@@ -15,19 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapAmbiguityError, ValidationError
-from .linalg import EPS_HERMITIAN, PSD_TOL, as_square, hermiticity_defect
+from .linalg import EPS_HERMITIAN, PSD_TOL, as_square, hermiticity_defect, require_tol
 from .coset import FlagCoordinates, decompose_unitary, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
 TRACE_TOL = 1e-12
-
-
-def _check_gap_tol(gap_tol):
-    """gap_tol as a float; raises ``BAD_TOL`` unless it is finite and nonnegative."""
-    tol = float(gap_tol)
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"gap_tol must be finite and >= 0, got {tol!r}", code="BAD_TOL")
-    return tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,16 +27,15 @@ class Spectrum:
     """Distinct eigenvalues with multiplicities: strictly decreasing, unit weight.
 
     ``lambdas[j]`` is repeated ``profile[j]`` times on the diagonal; the
-    weighted sum over the profile is 1.  Consecutive values must be separated
-    by more than ``gap_tol``, which must be finite and nonnegative.
+    weighted sum over the profile is 1.  Any positive gap between consecutive
+    values is accepted: a clustering threshold only matters when a profile is
+    read off a matrix (see :func:`deparametrize`).
     """
 
     profile: tuple
     lambdas: tuple
-    gap_tol: float = GAP_TOL
 
     def __post_init__(self):
-        gap_tol = _check_gap_tol(self.gap_tol)
         profile = validate_profile(self.profile)
         lambdas = tuple(float(v) for v in self.lambdas)
         if not np.all(np.isfinite(lambdas)):
@@ -53,11 +44,9 @@ class Spectrum:
             raise ValidationError(
                 f"{len(lambdas)} eigenvalues for {len(profile)} blocks", code="LAMBDA_COUNT"
             )
-        gaps = [a - b for a, b in zip(lambdas, lambdas[1:])]
-        if any(g <= gap_tol for g in gaps):
+        if any(a <= b for a, b in zip(lambdas, lambdas[1:])):
             raise ValidationError(
-                f"eigenvalues must decrease by more than gap_tol={gap_tol:.1e}: {lambdas}",
-                code="LAMBDA_ORDER",
+                f"eigenvalues must be strictly decreasing: {lambdas}", code="LAMBDA_ORDER"
             )
         # tolerate the tiny negative tail produced by clustering a PSD spectrum
         if lambdas[-1] < -PSD_TOL:
@@ -69,7 +58,6 @@ class Spectrum:
             )
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "gap_tol", gap_tol)
 
     @property
     def n(self):
@@ -152,7 +140,7 @@ def deparametrize(rho, gap_tol=GAP_TOL):
     unitary is then decomposed over the detected profile; its block-diagonal
     residue is commutant freedom and is dropped.
     """
-    gap_tol = _check_gap_tol(gap_tol)
+    gap_tol = require_tol(gap_tol, "gap_tol")
     h = _hermitian_unit_trace(rho, EPS_HERMITIAN, TRACE_TOL)
     w, v = np.linalg.eigh(h)
     _require_psd(w)
@@ -169,7 +157,7 @@ def deparametrize(rho, gap_tol=GAP_TOL):
     starts = np.flatnonzero(np.concatenate(([True], gaps > gap_tol)))
     sizes = np.diff(np.append(starts, w.size))
     profile = tuple(sizes.tolist())
-    spectrum = Spectrum(profile, tuple((np.add.reduceat(w, starts) / sizes).tolist()), gap_tol)
+    spectrum = Spectrum(profile, tuple((np.add.reduceat(w, starts) / sizes).tolist()))
     coords, _ = decompose_unitary(v, profile)
     return DensityParameters(spectrum, coords)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .coset import FlagCoordinates, validate_profile
-from .density import GAP_TOL, DensityParameters, Spectrum
+from .density import DensityParameters, Spectrum
 
 
 def matrix_to_json(a) -> dict:
@@ -69,7 +69,7 @@ def _json_array(value, kinds, message):
     raise ValidationError(f"{message}, got {value!r}", code="BAD_JSON")
 
 
-def params_from_json(doc, gap_tol=GAP_TOL) -> DensityParameters:
+def params_from_json(doc) -> DensityParameters:
     if not isinstance(doc, dict):
         raise ValidationError("parameter document must be an object", code="BAD_JSON")
     for key in ("profile", "lambdas", "levels"):
@@ -93,24 +93,11 @@ def params_from_json(doc, gap_tol=GAP_TOL) -> DensityParameters:
         )
     coords = FlagCoordinates(profile, tuple(xs), tuple(charts))
     lambdas = _json_array(doc["lambdas"], (int, float), "lambdas must be an array of numbers")
-    spectrum = Spectrum(profile, lambdas, gap_tol)
-    return DensityParameters(spectrum, coords)
-
-
-def dump(doc, fp) -> None:
-    json.dump(doc, fp, indent=2, sort_keys=True)
-    fp.write("\n")
+    return DensityParameters(Spectrum(profile, lambdas), coords)
 
 
 def dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def load(fp):
-    try:
-        return json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON: {exc}", code="BAD_JSON")
 
 
 def loads(text):

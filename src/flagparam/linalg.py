@@ -60,6 +60,14 @@ def hermiticity_defect(a) -> float:
     return frobenius(a - a.conj().T)
 
 
+def require_tol(value, name):
+    """value as a float; raises ``BAD_TOL`` unless it is finite and nonnegative."""
+    tol = float(value)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {tol!r}", code="BAD_TOL")
+    return tol
+
+
 def require_unitary(g, tol=EPS_UNITARY):
     g = as_square(g)
     defect = unitarity_defect(g)

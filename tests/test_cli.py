@@ -104,6 +104,9 @@ class TestParamToRho:
         assert r.stdout == ""
         rho = matrix_from_json(json.loads(outfile.read_text()))
         assert np.abs(rho - golden_31_rho()).max() <= 1e-11
+        # the file holds exactly what the same command writes to stdout
+        piped = run_cli(["param-to-rho", "--in", str(infile)])
+        assert outfile.read_bytes() == piped.stdout.encode("utf-8")
 
 
 class TestRhoToParam:
@@ -150,22 +153,16 @@ class TestRhoToParam:
         assert r.returncode == 0
         assert json.loads(r.stdout)["profile"] == [2, 2]
 
-    def test_close_spectrum_roundtrip_needs_gap_tol_on_both_sides(self):
-        # the wire format carries no gap tolerance, so parameters whose gaps
-        # sit below the default threshold must be fed back with the same
-        # --gap-tol they were extracted with
+    def test_close_spectrum_roundtrip(self):
+        # gap_tol only clusters: parameters extracted with a small --gap-tol
+        # rebuild rho without one, as their eigenvalues strictly decrease
         gap = 5e-7
         rho = np.diag([0.25 + gap / 2] * 2 + [0.25 - gap / 2] * 2)
         out = run_cli(["rho-to-param", "--gap-tol", "1e-8"], json.dumps(matrix_to_json(rho)))
         assert out.returncode == 0
-        params_text = out.stdout
-        strict = run_cli(["param-to-rho"], params_text)
-        assert strict.returncode == 2
-        assert json.loads(strict.stdout)["error"]["code"] == "LAMBDA_ORDER"
-        loose = run_cli(["param-to-rho", "--gap-tol", "1e-8"], params_text)
-        assert loose.returncode == 0
-        back = matrix_from_json(json.loads(loose.stdout))
-        assert np.abs(back - rho).max() <= 1e-12
+        back = run_cli(["param-to-rho"], out.stdout)
+        assert back.returncode == 0
+        assert np.abs(matrix_from_json(json.loads(back.stdout)) - rho).max() <= 1e-12
 
 
 class TestGapTolFlag:
@@ -177,11 +174,12 @@ class TestGapTolFlag:
         assert r.returncode == 2
         assert json.loads(r.stdout)["error"]["code"] == "BAD_TOL"
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_param_to_rho_rejects_bad_gap_tol(self, value):
-        r = run_cli(["param-to-rho", "--gap-tol", value], json.dumps(golden_31_params()))
+    def test_param_to_rho_has_no_gap_tol(self):
+        # refused by argparse as an unknown option, before any input is read
+        r = run_cli(["param-to-rho", "--gap-tol", "1e-8"], json.dumps(golden_31_params()))
         assert r.returncode == 2
-        assert json.loads(r.stdout)["error"]["code"] == "BAD_TOL"
+        assert r.stdout == ""
+        assert "unrecognized arguments: --gap-tol" in r.stderr
 
 
 class TestDecomposeUnitary:
@@ -243,6 +241,33 @@ class TestDecomposeUnitary:
             env={"FLAGPARAM_TOL": "1e-6"},
         )
         assert loose.returncode == 0
+
+
+class TestEnvTolerance:
+    # FLAGPARAM_TOL must be finite and >= 0: nan or inf would accept any
+    # input, and a negative value would refuse exact ones as NOT_UNITARY or
+    # NOT_HERMITIAN
+    CASES = {
+        # singular, so nothing near it is unitary
+        "decompose-unitary": (["decompose-unitary", "--profile", "2,1"], np.ones((3, 3))),
+        # not Hermitian
+        "rho-to-param": (["rho-to-param"], np.array([[0.5, 0.4], [0.0, 0.5]])),
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_rejects_bad_value(self, command, value):
+        args, m = self.CASES[command]
+        r = run_cli(args, json.dumps(matrix_to_json(m)), env={"FLAGPARAM_TOL": value})
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "BAD_TOL"
+
+    def test_zero_is_valid(self):
+        r = run_cli(
+            ["rho-to-param"], json.dumps(matrix_to_json(np.eye(2) / 2)), env={"FLAGPARAM_TOL": "0"}
+        )
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["profile"] == [2]
 
 
 class TestSample:

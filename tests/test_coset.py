@@ -316,6 +316,14 @@ class TestPeelResults:
             assert max(unitarity_defect(b) for b in h.blocks) <= 1e-12
 
     @pytest.mark.parametrize("profile", PROFILES)
+    def test_input_unchanged(self, profile):
+        # the peel works in place on its own copy, never on the caller's array
+        for g in self.inputs(sum(profile)):
+            before = g.tobytes()
+            decompose_unitary(g, profile)
+            assert g.tobytes() == before
+
+    @pytest.mark.parametrize("profile", PROFILES)
     def test_public_reconstruction_accepts(self, profile):
         for g in self.inputs(sum(profile)):
             coords, h = decompose_unitary(g, profile)

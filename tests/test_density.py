@@ -48,8 +48,11 @@ class TestSpectrum:
             Spectrum((2, 2), (0.1, 0.4))
 
     def test_gap_violation(self):
-        with pytest.raises(ValidationError):
-            Spectrum((2, 2), (0.2500001, 0.2499999), gap_tol=1e-6)
+        # equal values are refused; any positive gap is accepted
+        with pytest.raises(ValidationError) as exc:
+            Spectrum((2, 2), (0.25, 0.25))
+        assert exc.value.code == "LAMBDA_ORDER"
+        assert Spectrum((2, 2), (0.2500001, 0.2499999)).lambdas == (0.2500001, 0.2499999)
 
     def test_sum_violation(self):
         with pytest.raises(ValidationError):
@@ -66,12 +69,6 @@ class TestSpectrum:
         with pytest.raises(ValidationError) as exc:
             Spectrum((3, 1), lambdas)
         assert exc.value.code == "NOT_FINITE"
-
-    @pytest.mark.parametrize("gap_tol", [np.nan, np.inf, -1.0])
-    def test_bad_gap_tol(self, gap_tol):
-        with pytest.raises(ValidationError) as exc:
-            Spectrum((3, 1), (0.3, 0.1), gap_tol=gap_tol)
-        assert exc.value.code == "BAD_TOL"
 
 
 class TestParametrize:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flagparam import ValidationError
+from flagparam import ValidationError, deparametrize, parametrize
 from flagparam.iojson import (
     dumps,
     loads,
@@ -87,6 +87,15 @@ class TestParamsJSON:
         with pytest.raises(ValidationError) as err:
             params_from_json(doc)
         assert err.value.code == "LAMBDA_SUM"
+
+    def test_close_spectrum_roundtrip(self):
+        # a document needs only strictly decreasing eigenvalues, so a gap
+        # clustered with a small gap_tol reads back without one
+        gap = 5e-7
+        rho = np.diag([0.25 + gap / 2] * 2 + [0.25 - gap / 2] * 2)
+        back = params_from_json(params_to_json(deparametrize(rho, gap_tol=1e-8)))
+        assert back.spectrum.profile == (2, 2)
+        assert np.abs(parametrize(back) - rho).max() <= 1e-12
 
     def test_floats_survive_json_text(self):
         # shortest-roundtrip float repr: parse(dump(x)) is bit-exact

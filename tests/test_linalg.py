@@ -217,14 +217,15 @@ class TestHaarUnitary:
 
 
 class TestTolerancesAreConstants:
-    # the tolerances are the module constants; a caller sets only gap_tol and,
-    # through the CLI, FLAGPARAM_TOL
-    KNOBS = {"rank_tol", "psd_tol", "unit_tol", "herm_tol", "trace_tol", "tol"}
-    # the eigendecomposition reference the tests check against
-    KEEP = {"hermitian_sqrt"}
+    # the tolerances are the module constants; a caller sets only
+    # deparametrize's clustering gap_tol and, through the CLI, FLAGPARAM_TOL
+    KNOBS = {"rank_tol", "psd_tol", "unit_tol", "herm_tol", "trace_tol", "tol", "gap_tol"}
+    # the eigendecomposition reference the tests check against, and the
+    # one clustering threshold
+    KEEP = {"hermitian_sqrt", "deparametrize"}
 
     def test_no_tolerance_keywords(self):
-        from flagparam import charts, linalg
+        from flagparam import charts, iojson, linalg
 
         walked = [
             obj
@@ -232,6 +233,7 @@ class TestTolerancesAreConstants:
             if inspect.isfunction(obj) or inspect.isclass(obj)
         ]
         walked += [charts.select_frame_chart, charts.frame_chart_factors, linalg.ball_factors]
+        walked += [iojson.params_from_json]
         knobs = set()
         for obj in walked:
             try:
