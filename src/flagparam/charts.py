@@ -16,7 +16,6 @@ a frame first.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -36,10 +35,18 @@ from .linalg import (
 )
 
 
-@functools.lru_cache(maxsize=512)
 def identity_chart(n):
-    """The chart (1, 2, ..., n); cached, since the peel and the rebuild ask for it per level."""
+    """The chart (1, 2, ..., n)."""
     return tuple(range(1, n + 1))
+
+
+def _is_identity(sigma, r):
+    """Whether a valid chart with r top rows is the identity.
+
+    The bottom run is n - r increasing values, none above n; when the first
+    is r + 1 the run can only be r+1..n, which leaves 1..r to the top run.
+    """
+    return sigma[r] == r + 1
 
 
 def validate_chart(sigma, k, n=None):
@@ -89,12 +96,12 @@ def _scatter_rows(m, sigma):
     return out
 
 
-def _gather_rows(m, sigma):
-    """permutation_unitary(sigma).T @ m: the rows of m in chart order.
+def _gather_rows(m, sigma, r):
+    """permutation_unitary(sigma).T @ m: the rows of m in chart order, for a valid chart.
 
-    Returns ``m`` itself, not a copy, on the identity chart.
+    Returns ``m`` itself, not a copy, on the identity chart (r top rows).
     """
-    if sigma == identity_chart(len(sigma)):
+    if _is_identity(sigma, r):
         return m
     return m[np.array(sigma) - 1]
 
@@ -202,7 +209,7 @@ def frame_chart_factors(f, sigma):
 def _chart_factors(f, sigma):
     """:func:`frame_chart_factors` for a chart already known to be valid."""
     n, k = f.shape
-    f_perm = _gather_rows(f, sigma)
+    f_perm = _gather_rows(f, sigma, n - k)
     v_left, c, wh = np.linalg.svd(f_perm[n - k :, :].conj().T)
     if c[-1] <= RANK_TOL:
         raise OutOfChartError(

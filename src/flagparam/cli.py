@@ -9,8 +9,9 @@ Subcommands::
     verify             run the seeded property suites
 
 Exit codes: 0 success, 1 verification failure, 2 validation error,
-3 numeric failure, 4 eigenvalue-gap ambiguity.  Validation and numeric
-failures emit a machine-readable ``{"error": {"code", "message"}}`` object.
+3 numeric failure, 4 eigenvalue-gap ambiguity.  Every library error emits a
+machine-readable ``{"error": {"code", "message"}}`` object; its class (see
+:mod:`flagparam.errors`) declares both the code and the exit status.
 ``rho-to-param --gap-tol`` sets the eigenvalue clustering threshold;
 ``param-to-rho`` needs only strictly decreasing eigenvalues.  The
 environment variable ``FLAGPARAM_TOL`` overrides the default input
@@ -28,24 +29,13 @@ import numpy as np
 
 from . import iojson, verify
 from .coset import decompose_unitary, reconstruct_unitary, validate_profile
-from .density import GAP_TOL, TRACE_TOL, _hermitian_unit_trace, deparametrize, parametrize
-from .errors import (
-    FlagparamError,
-    GapAmbiguityError,
-    NoChartError,
-    NotPSDError,
-    OutOfChartError,
-    SingularInputError,
-    ValidationError,
-)
+from .density import GAP_TOL, SPLIT_FACTOR, TRACE_TOL, _hermitian_unit_trace, deparametrize, parametrize
+from .errors import FlagparamError, ValidationError
 from .linalg import EPS_HERMITIAN, EPS_UNITARY, as_square, frobenius, require_tol, unitarity_defect
 from .sampling import MIN_SPECTRUM_GAP, largest_feasible_gap, random_density_parameters
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
-EXIT_VALIDATION = 2
-EXIT_NUMERIC = 3
-EXIT_AMBIGUITY = 4
 
 
 def _env_tol(default):
@@ -72,14 +62,6 @@ def _write_doc(doc, args):
             fp.write(iojson.dumps(doc))
     else:
         sys.stdout.write(iojson.dumps(doc))
-
-
-def _parse_profile(text, n=None):
-    try:
-        ks = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValidationError(f"bad profile {text!r}", code="PROFILE_VALUES")
-    return validate_profile(ks, n=n)
 
 
 def cmd_param_to_rho(args):
@@ -112,16 +94,10 @@ def cmd_decompose_unitary(args):
         # accepted under a loosened tolerance: decompose the closest unitary
         w, _, vh = np.linalg.svd(g)
         g = w @ vh
-    profile = _parse_profile(args.profile, n=g.shape[0])
+    profile = validate_profile(args.profile.split(","), n=g.shape[0])
     coords, blocks = decompose_unitary(g, profile)
-    doc = {
-        "profile": list(profile),
-        "levels": [
-            {"chart": list(sigma), "X": iojson.matrix_to_json(x)}
-            for x, sigma in zip(coords.xs, coords.charts)
-        ],
-        "h_blocks": [iojson.matrix_to_json(b) for b in blocks.blocks],
-    }
+    doc = iojson.coords_to_json(coords)
+    doc["h_blocks"] = [iojson.matrix_to_json(b) for b in blocks.blocks]
     if args.reconstruct:
         doc["reconstruction_residual"] = frobenius(reconstruct_unitary(coords, blocks) - g)
     _write_doc(doc, args)
@@ -131,14 +107,15 @@ def cmd_decompose_unitary(args):
 def cmd_sample(args):
     if args.n < 1:
         raise ValidationError("n must be >= 1", code="BAD_DIMENSION")
-    profile = _parse_profile(args.profile, n=args.n) if args.profile else (1,) * args.n
+    profile = validate_profile(args.profile.split(",") if args.profile else (1,) * args.n, n=args.n)
     # the default gap, or half the largest feasible gap when that is smaller;
-    # below ten times GAP_TOL rho-to-param could merge eigenvalues again
+    # below the split threshold rho-to-param could merge eigenvalues again
     min_gap = min(MIN_SPECTRUM_GAP, 0.5 * largest_feasible_gap(profile))
-    if min_gap < 10 * GAP_TOL:
+    split = SPLIT_FACTOR * GAP_TOL
+    if min_gap < split:
         raise ValidationError(
             f"n={args.n} with m={len(profile)} distinct eigenvalues leaves gaps of at most "
-            f"{2 * min_gap:.6g}; sample needs half of that to be >= 10*gap_tol={10 * GAP_TOL:g}",
+            f"{2 * min_gap:.6g}; sample needs half of that to be >= {SPLIT_FACTOR:g}*gap_tol={split:g}",
             code="SPECTRUM_SAMPLING",
         )
     params = random_density_parameters(profile, np.random.default_rng(args.seed), min_gap)
@@ -204,8 +181,8 @@ def build_parser():
     return parser
 
 
-def _emit_error(exc, code, args):
-    doc = {"error": {"code": code, "message": str(exc)}}
+def _emit_error(exc, args):
+    doc = {"error": {"code": exc.code, "message": str(exc)}}
     try:
         _write_doc(doc, args)
     except OSError:
@@ -216,18 +193,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        _emit_error(exc, exc.code, args)
-        return EXIT_VALIDATION
-    except GapAmbiguityError as exc:
-        _emit_error(exc, "GAP_AMBIGUITY", args)
-        return EXIT_AMBIGUITY
-    except (NotPSDError, SingularInputError, OutOfChartError, NoChartError) as exc:
-        _emit_error(exc, type(exc).__name__.replace("Error", "").upper(), args)
-        return EXIT_NUMERIC
     except FlagparamError as exc:
-        _emit_error(exc, "NUMERIC", args)
-        return EXIT_NUMERIC
+        _emit_error(exc, args)
+        return exc.exit_status
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .linalg import (
 )
 from .charts import (
     _gather_rows,
+    _is_identity,
     _section_of_factors,
     _select_frame_chart,
     frame_chart_factors,
@@ -189,7 +190,7 @@ def decompose_unitary(g, profile):
     for nj, kj in level_dimensions(ks):
         r = nj - kj
         sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:])
-        rows = _gather_rows(cur, sigma)
+        rows = _gather_rows(cur, sigma, r)
         _apply_level(rows, ((nj, kj), sigma, (-xv, v, c)))
         residues.append(rows[r:, r:].copy())
         cur = rows[:r, :r]
@@ -263,13 +264,13 @@ def _panels(levels):
     """
     panel = []
     for level in levels:
-        (nj, _), sigma, (_, _, c) = level
+        (nj, kj), sigma, (_, _, c) = level
         rank_one = c.size == 1
         if panel and not (rank_one and len(panel) < _PANEL_LEVELS):
             yield panel, False
             panel = []
         panel.append(level)
-        moved = sigma != identity_chart(nj)
+        moved = not _is_identity(sigma, nj - kj)
         if moved or not rank_one:
             yield panel, moved
             panel = []

@@ -19,6 +19,7 @@ from .linalg import EPS_HERMITIAN, PSD_TOL, as_square, hermiticity_defect, requi
 from .coset import FlagCoordinates, decompose_unitary, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
+SPLIT_FACTOR = 10.0  # a gap of at least SPLIT_FACTOR * gap_tol splits a cluster
 TRACE_TOL = 1e-12
 
 
@@ -133,10 +134,11 @@ def deparametrize(rho, gap_tol=GAP_TOL):
     """Recover spectrum and flag coordinates from a density matrix.
 
     Eigenvalues are sorted in decreasing order and clustered: a gap at or
-    below ``gap_tol`` merges, a gap of at least ``10 * gap_tol`` splits, and
-    anything in between raises :class:`GapAmbiguityError` because the
-    multiplicity profile would be unstable at that tolerance; a ``gap_tol``
-    that is negative or not finite raises ``BAD_TOL``.  The eigenvector
+    below ``gap_tol`` merges, a gap of at least ``SPLIT_FACTOR * gap_tol``
+    splits, and a gap in between, or a chain of merges spread over more than
+    ``gap_tol``, raises :class:`GapAmbiguityError`: the multiplicity profile
+    would be unstable at that tolerance.  A ``gap_tol`` that is negative or
+    not finite raises ``BAD_TOL``.  The eigenvector
     unitary is then decomposed over the detected profile; its block-diagonal
     residue is commutant freedom and is dropped.
     """
@@ -147,15 +149,22 @@ def deparametrize(rho, gap_tol=GAP_TOL):
     w = w[::-1]
     v = v[:, ::-1]
     gaps = w[:-1] - w[1:]
-    ambiguous = (gaps > gap_tol) & (gaps < 10.0 * gap_tol)
+    ambiguous = (gaps > gap_tol) & (gaps < SPLIT_FACTOR * gap_tol)
     if np.any(ambiguous):
         g = float(gaps[np.argmax(ambiguous)])
         raise GapAmbiguityError(
-            f"eigenvalue gap {g:.3e} inside ({gap_tol:.1e}, {10 * gap_tol:.1e}): "
+            f"eigenvalue gap {g:.3e} inside ({gap_tol:.1e}, {SPLIT_FACTOR * gap_tol:.1e}): "
             "clustering is unstable, pick a different gap_tol"
         )
     starts = np.flatnonzero(np.concatenate(([True], gaps > gap_tol)))
-    sizes = np.diff(np.append(starts, w.size))
+    stops = np.append(starts[1:], w.size)
+    spreads = w[starts] - w[stops - 1]
+    if np.any(spreads > gap_tol):
+        raise GapAmbiguityError(
+            f"merged eigenvalues spread over {float(spreads.max()):.3e} > gap_tol={gap_tol:.1e}: "
+            "clustering is unstable, pick a different gap_tol"
+        )
+    sizes = stops - starts
     profile = tuple(sizes.tolist())
     spectrum = Spectrum(profile, tuple((np.add.reduceat(w, starts) / sizes).tolist()))
     coords, _ = decompose_unitary(v, profile)

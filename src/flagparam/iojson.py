@@ -50,16 +50,17 @@ def matrix_from_json(doc) -> np.ndarray:
     return m
 
 
-def params_to_json(params: DensityParameters) -> dict:
-    levels = [
-        {"chart": list(sigma), "X": matrix_to_json(x)}
-        for x, sigma in zip(params.coords.xs, params.coords.charts)
-    ]
+def coords_to_json(coords: FlagCoordinates) -> dict:
+    """The ``profile`` and ``levels`` of a parameter document: one chart and X per level."""
+    levels = zip(coords.xs, coords.charts)
     return {
-        "profile": list(params.spectrum.profile),
-        "lambdas": list(params.spectrum.lambdas),
-        "levels": levels,
+        "profile": list(coords.profile),
+        "levels": [{"chart": list(sigma), "X": matrix_to_json(x)} for x, sigma in levels],
     }
+
+
+def params_to_json(params: DensityParameters) -> dict:
+    return {**coords_to_json(params.coords), "lambdas": list(params.spectrum.lambdas)}
 
 
 def _json_array(value, kinds, message):

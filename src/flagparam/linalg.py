@@ -68,12 +68,12 @@ def require_tol(value, name):
     return tol
 
 
-def require_unitary(g, tol=EPS_UNITARY):
+def require_unitary(g):
     g = as_square(g)
     defect = unitarity_defect(g)
-    if defect > tol:
+    if defect > EPS_UNITARY:
         raise ValidationError(
-            f"matrix is not unitary: defect {defect:.3e} > {tol:.3e}", code="NOT_UNITARY"
+            f"matrix is not unitary: defect {defect:.3e} > {EPS_UNITARY:.3e}", code="NOT_UNITARY"
         )
     return g
 

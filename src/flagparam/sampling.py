@@ -17,6 +17,7 @@ from .coset import (
 from .density import DensityParameters, Spectrum
 
 MIN_SPECTRUM_GAP = 1e-3
+MAX_FLAG_RADIUS = 0.95  # random_flag_coordinates keeps every ||X|| below this
 
 
 def random_ball_matrix(rows, cols, rng, radius=None):
@@ -62,13 +63,13 @@ def largest_feasible_gap(profile):
     return 1.0 / budget if budget else float("inf")
 
 
-def random_flag_coordinates(profile, rng, max_radius=0.95):
+def random_flag_coordinates(profile, rng):
     """Interior flag coordinates on the identity charts of every level."""
     ks = validate_profile(profile)
     rng = np.random.default_rng(rng)
     xs, charts = [], []
     for nj, kj in level_dimensions(ks):
-        xs.append(random_ball_matrix(nj - kj, kj, rng, radius=rng.uniform(0.05, max_radius)))
+        xs.append(random_ball_matrix(nj - kj, kj, rng, radius=rng.uniform(0.05, MAX_FLAG_RADIUS)))
         charts.append(identity_chart(nj))
     return FlagCoordinates(ks, tuple(xs), tuple(charts))
 

@@ -238,7 +238,7 @@ def test_criterion_09_density_roundtrips():
     for profile in N4_PROFILES + N6_PROFILES:
         for _ in range(100):
             spectrum = random_spectrum(profile, rng, min_gap=1e-3)
-            coords = random_flag_coordinates(profile, rng, max_radius=0.95)
+            coords = random_flag_coordinates(profile, rng)
             params = DensityParameters(spectrum, coords)
             rho = parametrize(params)
             back = deparametrize(rho)

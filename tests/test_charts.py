@@ -27,7 +27,7 @@ from flagparam import (
     projector_of_unitary,
     select_chart,
 )
-from flagparam.charts import frame_chart_factors, select_frame_chart, validate_chart
+from flagparam.charts import _is_identity, frame_chart_factors, select_frame_chart, validate_chart
 from flagparam.linalg import frobenius, open_ball_factors, unitarity_defect
 from flagparam.sampling import random_ball_matrix
 
@@ -66,6 +66,13 @@ class TestPermutations:
                 assert perms[0] == identity_chart(n)
                 for sigma in perms:
                     validate_chart(sigma, k, n)
+
+    def test_is_identity_matches_identity_chart(self):
+        # one entry decides it on a valid chart: the first designated row
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                for sigma in chart_permutations(n, k):
+                    assert _is_identity(sigma, n - k) == (sigma == identity_chart(n)), sigma
 
     def test_validate_chart_rejects_bad_runs(self):
         with pytest.raises(ValidationError):

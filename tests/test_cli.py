@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from flagparam import errors
 from flagparam.density import GAP_TOL
 from flagparam.errors import ValidationError
 from flagparam.iojson import matrix_from_json, matrix_to_json
@@ -146,6 +147,18 @@ class TestRhoToParam:
         assert r.returncode == 4
         assert json.loads(r.stdout)["error"]["code"] == "GAP_AMBIGUITY"
 
+    def test_chained_merge_exit_code(self):
+        # every gap 0.9e-6 merges, but the merged cluster spans 5.4e-6
+        from flagparam import haar_unitary
+
+        lam = np.array([0.3] + [0.1 + j * 0.9e-6 for j in range(6, -1, -1)])
+        lam /= lam.sum()
+        u = haar_unitary(8, 3)
+        rho = (u * lam) @ u.conj().T
+        r = run_cli(["rho-to-param"], json.dumps(matrix_to_json((rho + rho.conj().T) / 2)))
+        assert r.returncode == 4
+        assert json.loads(r.stdout)["error"]["code"] == "GAP_AMBIGUITY"
+
     def test_gap_tol_flag_resolves_ambiguity(self):
         gap = 5e-6
         rho = np.diag([0.25 + gap / 2] * 2 + [0.25 - gap / 2] * 2)
@@ -222,6 +235,28 @@ class TestDecomposeUnitary:
         assert r.returncode == 0
         assert json.loads(r.stdout)["reconstruction_residual"] <= 1e-10
 
+    def test_malformed_profile(self):
+        r = run_cli(
+            ["decompose-unitary", "--profile", "1,x"], json.dumps(matrix_to_json(np.eye(3)))
+        )
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "PROFILE_VALUES"
+
+    def test_levels_are_the_coordinates_document(self, tmp_path):
+        from flagparam import cli, decompose_unitary, haar_unitary
+        from flagparam.iojson import coords_to_json, loads
+
+        g = haar_unitary(4, 7)
+        infile, outfile = tmp_path / "g.json", tmp_path / "out.json"
+        infile.write_text(json.dumps(matrix_to_json(g)))
+        args = ["--profile", "2,1,1", "--in", str(infile), "--out", str(outfile)]
+        assert cli.main(["decompose-unitary", *args]) == 0
+        doc = loads(outfile.read_text())
+        coords = decompose_unitary(g, (2, 1, 1))[0]
+        assert {"profile": doc["profile"], "levels": doc["levels"]} == json.loads(
+            json.dumps(coords_to_json(coords))
+        )
+
     def test_rejects_non_unitary(self):
         r = run_cli(
             ["decompose-unitary", "--profile", "2,2"],
@@ -296,6 +331,11 @@ class TestSample:
         rho_b = matrix_from_json(json.loads(back.stdout))
         assert np.abs(rho_a - rho_b).max() <= 1e-12
 
+    def test_malformed_profile(self):
+        r = run_cli(["sample", "6", "--profile", "1,x"])
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "PROFILE_VALUES"
+
     def test_profile_must_sum(self):
         r = run_cli(["sample", "4", "--profile", "3,3"])
         assert r.returncode == 2
@@ -342,7 +382,8 @@ class TestSample:
 
 class TestExitCodeWiring:
     """Codes 1 and 3 cannot be reached through valid inputs on a correct
-    build, so the dispatch is exercised in-process."""
+    build, so the dispatch is exercised in-process.  Each error class
+    declares its wire code and exit status; these cases pin them."""
 
     def test_verify_failure_exits_one(self, tmp_path, monkeypatch):
         from flagparam import cli, verify
@@ -354,20 +395,33 @@ class TestExitCodeWiring:
         out = tmp_path / "report.json"
         assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 1
 
-    def test_numeric_failure_exits_three(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "exc,code,status",
+        [
+            (errors.NotPSDError("synthetic"), "NOTPSD", 3),
+            (errors.SingularInputError("synthetic"), "SINGULARINPUT", 3),
+            (errors.OutOfChartError("synthetic"), "OUTOFCHART", 3),
+            (errors.NoChartError("synthetic"), "NOCHART", 3),
+            (errors.FlagparamError("synthetic"), "NUMERIC", 3),
+            (errors.GapAmbiguityError("synthetic"), "GAP_AMBIGUITY", 4),
+            (errors.ValidationError("synthetic", code="X"), "X", 2),
+            (errors.ValidationError("synthetic"), "INVALID", 2),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+    )
+    def test_error_code_and_status(self, exc, code, status, tmp_path, monkeypatch):
         from flagparam import cli
-        from flagparam.errors import NotPSDError
 
         def boom(params):
-            raise NotPSDError("synthetic numeric failure")
+            raise exc
 
         monkeypatch.setattr(cli, "parametrize", boom)
         infile = tmp_path / "params.json"
         outfile = tmp_path / "out.json"
         infile.write_text(json.dumps(golden_31_params()))
         rc = cli.main(["param-to-rho", "--in", str(infile), "--out", str(outfile)])
-        assert rc == 3
-        assert json.loads(outfile.read_text())["error"]["code"] == "NOTPSD"
+        assert rc == status
+        assert json.loads(outfile.read_text())["error"] == {"code": code, "message": "synthetic"}
 
 
 class TestVerify:

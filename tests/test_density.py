@@ -237,6 +237,16 @@ class TestDeparametrize:
         params = deparametrize(diag_density(lam, lam, mu, mu))
         assert params.spectrum.profile == (2, 2)
 
+    def test_chained_merge_raises(self):
+        # seven eigenvalues 0.9e-6 apart: every gap merges at the default
+        # gap_tol, but the cluster spans 5.4e-6, and its mean would rebuild
+        # rho with an error of 1.2e-6
+        lam = np.array([0.3] + [0.1 + j * 0.9e-6 for j in range(6, -1, -1)])
+        lam /= lam.sum()
+        u = haar_unitary(8, 3)
+        with pytest.raises(GapAmbiguityError, match="spread over 5.4"):
+            deparametrize((u * lam) @ u.conj().T)
+
     def test_tiny_gap_merges(self):
         gap = 1e-8
         lam = 0.25 + gap / 2

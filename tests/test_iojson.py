@@ -5,6 +5,7 @@ import pytest
 
 from flagparam import ValidationError, deparametrize, parametrize
 from flagparam.iojson import (
+    coords_to_json,
     dumps,
     loads,
     matrix_from_json,
@@ -70,6 +71,11 @@ class TestParamsJSON:
         doc = params_to_json(params)
         chart = doc["levels"][0]["chart"]
         assert sorted(chart) == [1, 2, 3, 4]
+
+    def test_coords_part_of_params(self):
+        params = random_density_parameters((2, 1, 1), np.random.default_rng(6))
+        doc = params_to_json(params)
+        assert coords_to_json(params.coords) == {"profile": doc["profile"], "levels": doc["levels"]}
 
     def test_profile_sum_mismatch(self):
         rng = np.random.default_rng(4)

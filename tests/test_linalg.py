@@ -233,6 +233,7 @@ class TestTolerancesAreConstants:
             if inspect.isfunction(obj) or inspect.isclass(obj)
         ]
         walked += [charts.select_frame_chart, charts.frame_chart_factors, linalg.ball_factors]
+        walked += [linalg.require_unitary]
         walked += [iojson.params_from_json]
         knobs = set()
         for obj in walked:
