@@ -29,10 +29,10 @@ import numpy as np
 
 from . import iojson, verify
 from .coset import decompose_unitary, reconstruct_unitary, validate_profile
-from .density import GAP_TOL, SPLIT_FACTOR, TRACE_TOL, _hermitian_unit_trace, deparametrize, parametrize
+from .density import GAP_TOL, TRACE_TOL, _hermitian_unit_trace, deparametrize, parametrize
 from .errors import FlagparamError, ValidationError
 from .linalg import EPS_HERMITIAN, EPS_UNITARY, as_square, frobenius, require_tol, unitarity_defect
-from .sampling import MIN_SPECTRUM_GAP, largest_feasible_gap, random_density_parameters
+from .sampling import random_density_parameters
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -108,17 +108,7 @@ def cmd_sample(args):
     if args.n < 1:
         raise ValidationError("n must be >= 1", code="BAD_DIMENSION")
     profile = validate_profile(args.profile.split(",") if args.profile else (1,) * args.n, n=args.n)
-    # the default gap, or half the largest feasible gap when that is smaller;
-    # below the split threshold rho-to-param could merge eigenvalues again
-    min_gap = min(MIN_SPECTRUM_GAP, 0.5 * largest_feasible_gap(profile))
-    split = SPLIT_FACTOR * GAP_TOL
-    if min_gap < split:
-        raise ValidationError(
-            f"n={args.n} with m={len(profile)} distinct eigenvalues leaves gaps of at most "
-            f"{2 * min_gap:.6g}; sample needs half of that to be >= {SPLIT_FACTOR:g}*gap_tol={split:g}",
-            code="SPECTRUM_SAMPLING",
-        )
-    params = random_density_parameters(profile, np.random.default_rng(args.seed), min_gap)
+    params = random_density_parameters(profile, np.random.default_rng(args.seed))
     doc = {
         "params": iojson.params_to_json(params),
         "rho": iojson.matrix_to_json(parametrize(params)),

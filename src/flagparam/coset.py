@@ -191,7 +191,7 @@ def decompose_unitary(g, profile):
         r = nj - kj
         sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:])
         rows = _gather_rows(cur, sigma, r)
-        _apply_level(rows, ((nj, kj), sigma, (-xv, v, c)))
+        _apply_level(rows, -xv, v, c)
         residues.append(rows[r:, r:].copy())
         cur = rows[:r, :r]
         xs.append(x)
@@ -239,7 +239,7 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
         (nj, _), sigma, _ = panel[-1]
         blk = g[:nj, :nj]
         if len(panel) == 1:
-            _apply_level(blk, panel[0])
+            _apply_level(blk, *panel[0][2])
         else:
             y, tinv = _compact_wy(panel)
             blk += y @ np.linalg.solve(tinv, y.conj().T @ blk)
@@ -278,10 +278,9 @@ def _panels(levels):
         yield panel, False
 
 
-def _apply_level(blk, level):
-    """blk <- W blk for one level's section, as two rank-p row updates, in place."""
-    (nj, kj), _, (xv, v, c) = level
-    top, bottom = blk[: nj - kj], blk[nj - kj :]
+def _apply_level(blk, xv, v, c):
+    """blk <- W blk for one level's section, as two rank-p row updates, in place; len(xv) rows on top."""
+    top, bottom = blk[: xv.shape[0]], blk[xv.shape[0] :]
     t, b = xv.conj().T @ top, v.conj().T @ bottom
     # [[A, X], [-X*, C]] @ blk, with A, C and X factored as in the peel
     top += xv @ ((-1.0 / (1.0 + c))[:, None] * t + b)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapAmbiguityError, ValidationError
-from .linalg import EPS_HERMITIAN, PSD_TOL, as_square, hermiticity_defect, require_tol
+from .linalg import EPS_HERMITIAN, PSD_TOL, require_hermitian, require_tol
 from .coset import FlagCoordinates, decompose_unitary, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
@@ -103,12 +103,7 @@ def parametrize(params: DensityParameters):
 
 def _hermitian_unit_trace(rho, herm_tol, trace_tol):
     """Symmetrized input after the Hermiticity and unit-trace checks."""
-    rho = as_square(rho)
-    defect = hermiticity_defect(rho)
-    if defect > herm_tol:
-        raise ValidationError(
-            f"not Hermitian: defect {defect:.3e} > {herm_tol:.1e}", code="NOT_HERMITIAN"
-        )
+    rho = require_hermitian(rho, herm_tol)
     h = (rho + rho.conj().T) / 2
     trace = float(np.trace(h).real)
     if abs(trace - 1.0) > trace_tol:

@@ -8,6 +8,7 @@ Python's shortest round-trip repr, so serialize-then-parse is bit-exact.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -28,14 +29,29 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def _json_array(value, kinds, message):
+    """A JSON array, as a tuple, whose entries' exact types are in the set ``kinds`` (no bools)."""
+    if isinstance(value, list) and set(map(type, value)) <= kinds:
+        return tuple(value)
+    raise ValidationError(f"{message}, got {value!r}", code="BAD_JSON")
+
+
+def _json_rows(value, name):
+    """A JSON array of rows of numbers as a float array, typed by two set passes, not per row."""
+    if not (isinstance(value, list) and set(map(type, value)) <= {list}):
+        raise ValidationError(f"{name} must be an array of rows", code="BAD_JSON")
+    if not set(map(type, chain.from_iterable(value))) <= {int, float}:
+        raise ValidationError(f"{name} entries must be numbers", code="BAD_JSON")
+    return np.asarray(value, dtype=float)
+
+
 def matrix_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ValidationError("matrix document must be an object", code="BAD_JSON")
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols = _json_array([doc["rows"], doc["cols"]], {int}, "rows and cols must be integers")
+        re, im = _json_rows(doc["re"], "re"), _json_rows(doc["im"], "im")
+    except (KeyError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix document: {exc}", code="BAD_JSON")
     if rows < 1 or cols < 1:
         raise ValidationError("rows and cols must be >= 1", code="BAD_SHAPE")
@@ -63,20 +79,15 @@ def params_to_json(params: DensityParameters) -> dict:
     return {**coords_to_json(params.coords), "lambdas": list(params.spectrum.lambdas)}
 
 
-def _json_array(value, kinds, message):
-    """A JSON array, as a tuple, whose entries' exact types are in ``kinds`` (so no bools)."""
-    if isinstance(value, list) and all(type(v) in kinds for v in value):
-        return tuple(value)
-    raise ValidationError(f"{message}, got {value!r}", code="BAD_JSON")
-
-
 def params_from_json(doc) -> DensityParameters:
     if not isinstance(doc, dict):
         raise ValidationError("parameter document must be an object", code="BAD_JSON")
     for key in ("profile", "lambdas", "levels"):
         if key not in doc:
             raise ValidationError(f"missing key {key!r}", code="BAD_JSON")
-    profile = validate_profile(doc["profile"])
+    profile = validate_profile(
+        _json_array(doc["profile"], {int}, "profile must be an array of integers")
+    )
     levels = doc["levels"]
     if not isinstance(levels, list):
         raise ValidationError("levels must be an array", code="BAD_JSON")
@@ -84,7 +95,7 @@ def params_from_json(doc) -> DensityParameters:
     for entry in levels:
         if not isinstance(entry, dict) or "chart" not in entry or "X" not in entry:
             raise ValidationError("each level needs 'chart' and 'X'", code="BAD_JSON")
-        charts.append(_json_array(entry["chart"], (int,), "chart must be an array of integers"))
+        charts.append(_json_array(entry["chart"], {int}, "chart must be an array of integers"))
         xs.append(matrix_from_json(entry["X"]))
     if charts and len(charts[0]) != sum(profile):
         raise ValidationError(
@@ -93,7 +104,7 @@ def params_from_json(doc) -> DensityParameters:
             code="PROFILE_SUM",
         )
     coords = FlagCoordinates(profile, tuple(xs), tuple(charts))
-    lambdas = _json_array(doc["lambdas"], (int, float), "lambdas must be an array of numbers")
+    lambdas = _json_array(doc["lambdas"], {int, float}, "lambdas must be an array of numbers")
     return DensityParameters(Spectrum(profile, lambdas), coords)
 
 

@@ -14,7 +14,7 @@ from .coset import (
     level_dimensions,
     validate_profile,
 )
-from .density import DensityParameters, Spectrum
+from .density import GAP_TOL, SPLIT_FACTOR, DensityParameters, Spectrum
 
 MIN_SPECTRUM_GAP = 1e-3
 MAX_FLAG_RADIUS = 0.95  # random_flag_coordinates keeps every ||X|| below this
@@ -81,14 +81,23 @@ def random_block_diagonal(profile, rng):
     return BlockDiagonalUnitary(tuple(haar_unitary(k, rng) for k in ks))
 
 
-def random_density_parameters(profile, rng, min_gap=MIN_SPECTRUM_GAP):
+def random_density_parameters(profile, rng):
     """Random density parameters: Haar flag coordinates plus a random spectrum.
 
-    The flag point is drawn by decomposing a Haar unitary, so its law is the
-    pushforward of Haar measure; the spectrum is sampled by
-    :func:`random_spectrum`.
+    The spectrum keeps gaps of at least min(MIN_SPECTRUM_GAP, half the largest
+    feasible gap); ``SPECTRUM_SAMPLING`` is raised before any draw when that is
+    below SPLIT_FACTOR * GAP_TOL, which deparametrize could not split back.  The
+    flag point comes from a Haar unitary: its law is the pushforward of Haar measure.
     """
     ks = validate_profile(profile)
+    min_gap = min(MIN_SPECTRUM_GAP, 0.5 * largest_feasible_gap(ks))
+    split = SPLIT_FACTOR * GAP_TOL
+    if min_gap < split:
+        raise ValidationError(
+            f"n={sum(ks)} with m={len(ks)} distinct eigenvalues leaves gaps of at most "
+            f"{2 * min_gap:.6g}; the sampler needs half of that to be >= {SPLIT_FACTOR:g}*gap_tol={split:g}",
+            code="SPECTRUM_SAMPLING",
+        )
     rng = np.random.default_rng(rng)
     spectrum = random_spectrum(ks, rng, min_gap)
     coords, _ = decompose_unitary(haar_unitary(sum(ks), rng), ks)

@@ -7,7 +7,6 @@ import pytest
 
 from flagparam import errors
 from flagparam.density import GAP_TOL
-from flagparam.errors import ValidationError
 from flagparam.iojson import matrix_from_json, matrix_to_json
 
 
@@ -83,6 +82,24 @@ class TestParamToRho:
         else:
             doc["lambdas"] = value
         r = run_cli(["param-to-rho"], json.dumps(doc))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "BAD_JSON"
+
+    def test_fractional_profile(self):
+        # a valid (2, 1) document but for its profile, which int() would truncate
+        doc = {
+            "profile": [2.7, 1.0],
+            "lambdas": [0.4, 0.2],
+            "levels": [{"chart": [1, 2, 3], "X": matrix_to_json(np.array([[0.1], [0.2]]))}],
+        }
+        r = run_cli(["param-to-rho"], json.dumps(doc))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "BAD_JSON"
+
+    def test_boolean_matrix_entry(self):
+        doc = matrix_to_json(np.eye(2) / 2)
+        doc["im"][0][1] = False
+        r = run_cli(["rho-to-param"], json.dumps(doc))
         assert r.returncode == 2
         assert json.loads(r.stdout)["error"]["code"] == "BAD_JSON"
 
@@ -363,21 +380,6 @@ class TestSample:
         error = json.loads(r.stdout)["error"]
         assert error["code"] == "SPECTRUM_SAMPLING"
         assert len(error["message"]) < 200
-
-    @pytest.mark.parametrize("n,samples", [(316, True), (317, False)])
-    def test_largest_sampled_n(self, n, samples, tmp_path, monkeypatch):
-        # half the largest feasible gap, 1 / (n (n - 1)), first drops below
-        # 10*GAP_TOL at n = 317; the sampler is stubbed, so nothing is drawn
-        from flagparam import cli
-
-        def stub(profile, rng, min_gap):
-            raise ValidationError("stub sampler reached", code="STUB")
-
-        monkeypatch.setattr(cli, "random_density_parameters", stub)
-        out = tmp_path / "out.json"
-        assert cli.main(["sample", str(n), "--out", str(out)]) == 2
-        code = json.loads(out.read_text())["error"]["code"]
-        assert code == ("STUB" if samples else "SPECTRUM_SAMPLING")
 
 
 class TestExitCodeWiring:

@@ -1,3 +1,4 @@
+import inspect
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from flagparam import (
     parametrize,
     require_density,
 )
+from flagparam.density import GAP_TOL, SPLIT_FACTOR
 from flagparam.linalg import frobenius
 from flagparam.sampling import (
     random_block_diagonal,
@@ -161,6 +163,40 @@ class TestRandomSpectrum:
         reference = rejection_spectra(profile, rng, 0.05, count)
         for j in range(len(profile)):
             assert ks_2samp(direct[:, j], reference[:, j]).pvalue > 0.01
+
+
+class TestRandomDensityParameters:
+    @pytest.mark.parametrize("n,samples", [(316, True), (317, False)])
+    def test_largest_sampled_n(self, n, samples, monkeypatch):
+        # half the largest feasible gap, 1 / (n (n - 1)), first drops below
+        # SPLIT_FACTOR * GAP_TOL at n = 317; random_spectrum is stubbed, so
+        # nothing is drawn
+        from flagparam import sampling
+
+        def stub(profile, rng, min_gap):
+            assert min_gap >= SPLIT_FACTOR * GAP_TOL
+            raise ValidationError("stub sampler reached", code="STUB")
+
+        monkeypatch.setattr(sampling, "random_spectrum", stub)
+        with pytest.raises(ValidationError) as exc:
+            random_density_parameters((1,) * n, np.random.default_rng(0))
+        assert exc.value.code == ("STUB" if samples else "SPECTRUM_SAMPLING")
+        assert len(str(exc.value)) < 200
+
+    @pytest.mark.parametrize("n", [46, 64, 256])
+    def test_large_nondegenerate(self, n):
+        # the default gap 1e-3 is infeasible for (1,)*n from n = 46 on; the
+        # sampler then takes half the largest feasible gap, 1.53e-5 at
+        # n = 256, still ten times GAP_TOL, so deparametrize splits every
+        # eigenvalue again
+        params = random_density_parameters((1,) * n, np.random.default_rng(n))
+        lam = np.array(params.spectrum.lambdas)
+        assert np.min(lam[:-1] - lam[1:]) >= 10 * GAP_TOL
+        assert deparametrize(parametrize(params)).spectrum.profile == (1,) * n
+
+    def test_no_min_gap(self):
+        # the gap is worked out from the profile, not threaded in
+        assert "min_gap" not in inspect.signature(random_density_parameters).parameters
 
 
 class TestRequireDensity:

@@ -51,6 +51,32 @@ class TestMatrixJSON:
             loads("{not json")
         assert err.value.code == "BAD_JSON"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rows", 2.9),
+            ("rows", "2"),
+            ("cols", True),
+            ("re", [["0.5", 0.0], [0.0, 0.5]]),
+            ("re", [[True, 0.0], [0.0, 0.5]]),
+            ("im", [[0.0, None], [0.0, 0.0]]),
+            ("im", [0.0, 0.0, 0.0, 0.0]),
+            ("re", [[10**400, 0.0], [0.0, 0.5]]),
+        ],
+    )
+    def test_numbers_are_json_numbers(self, key, value):
+        # int() or a float array would coerce each into a 2x2 matrix; an
+        # integer too large for a float would escape as an OverflowError
+        doc = {"rows": 2, "cols": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0] * 2] * 2}
+        doc[key] = value
+        with pytest.raises(ValidationError) as err:
+            matrix_from_json(doc)
+        assert err.value.code == "BAD_JSON"
+
+    def test_integer_entries_pass(self):
+        doc = {"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+        assert np.array_equal(matrix_from_json(doc), np.eye(2))
+
 
 class TestParamsJSON:
     def test_roundtrip_bit_exact(self):
@@ -85,6 +111,18 @@ class TestParamsJSON:
         with pytest.raises(ValidationError) as err:
             params_from_json(doc)
         assert err.value.code == "PROFILE_SUM"
+
+    @pytest.mark.parametrize("profile", [[2.7, 1.0], [2.0, 1], [True, 2], ["2", 1]])
+    def test_profile_entries_are_integers(self, profile):
+        # validate_profile's int() would read [2.7, 1.0] as (2, 1)
+        doc = {
+            "profile": profile,
+            "lambdas": [0.4, 0.2],
+            "levels": [{"chart": [1, 2, 3], "X": matrix_to_json(np.array([[0.1], [0.2]]))}],
+        }
+        with pytest.raises(ValidationError) as err:
+            params_from_json(doc)
+        assert err.value.code == "BAD_JSON"
 
     def test_bad_lambda_sum(self):
         rng = np.random.default_rng(5)
