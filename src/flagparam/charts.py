@@ -196,10 +196,12 @@ def frame_chart_factors(f, sigma):
     W S W* = (I - X*X)^1/2; what remains on top is X = F_top u.  The singular values S are the cosines of the principal
     angles between the span and the chart's coordinate plane (Bjorck and
     Golub 1973), so (XV, V, c) = (F_top V', W, S) are the factors of
-    :func:`~flagparam.linalg.ball_factors` without a second SVD.  Returns
-    (X, XV, V, c).  Raises :class:`OutOfChartError` when B is singular at
-    ``RANK_TOL``, i.e. the subspace lies outside this chart.  Accepting the
-    chart is the ball check: ||X||^2 = 1 - c_min^2 < 1 - RANK_TOL^2.
+    :func:`~flagparam.linalg.ball_factors` without a second SVD.  A k = 1
+    block is one entry b and takes no SVD: c = |b|, V = 1 and
+    X = XV = F_top conj(b) / |b|.  Returns (X, XV, V, c).  Raises
+    :class:`OutOfChartError` when B is singular at ``RANK_TOL``, i.e. the
+    subspace lies outside this chart.  Accepting the chart is the ball
+    check: ||X||^2 = 1 - c_min^2 < 1 - RANK_TOL^2.
     """
     f = as_matrix(f)
     n, k = f.shape
@@ -210,14 +212,25 @@ def _chart_factors(f, sigma):
     """:func:`frame_chart_factors` for a chart already known to be valid."""
     n, k = f.shape
     f_perm = _gather_rows(f, sigma, n - k)
+    if k == 1:
+        # the block is one entry b: c = |b|, V = 1 and X = F_top conj(b) / |b|
+        c = np.abs(f_perm[n - 1 :, 0])
+        _require_in_chart(c, sigma)
+        xv = f_perm[: n - 1, :] * (f_perm[n - 1, 0].conjugate() / c[0])
+        return xv, xv, np.array([[1.0 + 0.0j]]), c
     v_left, c, wh = np.linalg.svd(f_perm[n - k :, :].conj().T)
+    _require_in_chart(c, sigma)
+    xv = f_perm[: n - k, :] @ v_left
+    return xv @ wh, xv, wh.conj().T, c
+
+
+def _require_in_chart(c, sigma):
+    """Raise :class:`OutOfChartError` unless the smallest cosine c[-1] exceeds ``RANK_TOL``."""
     if c[-1] <= RANK_TOL:
         raise OutOfChartError(
             f"block for chart {sigma} is singular: smallest singular value "
             f"{c[-1]:.3e} <= RANK_TOL={RANK_TOL:.1e}"
         )
-    xv = f_perm[: n - k, :] @ v_left
-    return xv @ wh, xv, wh.conj().T, c
 
 
 def chart_coordinates(p, sigma):
@@ -264,13 +277,29 @@ def select_frame_chart(f):
     SVD in all and no row gather.  Without dead ends the search is one pass
     over the rows.  The completions it builds are valid charts by
     construction and are not re-validated.
+
+    A line (k = 1) needs no search and no SVD: its valid charts designate
+    the rows with |f_d| > ``RANK_TOL``, and the first in priority order is
+    the last of them, which one vectorized comparison finds; the factors
+    are then c = |f_d| and the closed form of :func:`frame_chart_factors`.
     """
     return _select_frame_chart(as_matrix(f))
+
+
+_NO_CHART = f"no chart contains the given point at RANK_TOL={RANK_TOL:.1e}"
 
 
 def _select_frame_chart(f):
     """:func:`select_frame_chart` for a frame already coerced by ``as_matrix``."""
     n, k = f.shape
+    if k == 1:
+        # chart d designates row d, and the priority order runs d = n, ..., 1
+        valid = (np.abs(f[:, 0]) > RANK_TOL).nonzero()[0]
+        if not valid.size:
+            raise NoChartError(_NO_CHART)
+        d = int(valid[-1]) + 1
+        sigma = tuple(range(1, d)) + tuple(range(d + 1, n + 1)) + (d,)
+        return sigma, _chart_factors(f, sigma)
 
     def outside(top):
         in_top = set(top)
@@ -290,8 +319,8 @@ def _select_frame_chart(f):
                 sigma = tuple(j + 1 for j in chart + outside(chart))
             else:
                 # the first completion, built directly: 1.1 us against
-                # 11.5 us for the general one at n = 64 (2-core Xeon), which
-                # saves 0.4 ms per (1,)*64 decomposition and 4 ms at n = 256
+                # 11.5 us for the general one at n = 64 (2-core Xeon), once
+                # per level that is wider than a line
                 sigma = identity_chart(n)
             try:
                 return sigma, _chart_factors(f, sigma)
@@ -305,7 +334,7 @@ def _select_frame_chart(f):
         # is the only chart.
         while need == 0 or i + n - k - len(top) > n:
             if not top:
-                raise NoChartError(f"no chart contains the given point at RANK_TOL={RANK_TOL:.1e}")
+                raise NoChartError(_NO_CHART)
             i, fresh = top.pop() + 1, True
 
 

@@ -175,7 +175,9 @@ def decompose_unitary(g, profile):
     W's diagonal blocks depend on X only through XX* and X*X, so the peel
     applies the rebuild's level kernel to the (-XV, V, c) factors that the
     chart search reads off the SVD of the chart block it accepts (see
-    :func:`~flagparam.charts.frame_chart_factors`).  The factors travel with
+    :func:`~flagparam.charts.frame_chart_factors`).  A rank-one level takes
+    no SVD: its block is one entry b, so c = |b|, and its chart is the first
+    valid one found by one comparison.  The factors travel with
     the coordinates, so :func:`reconstruct_unitary` reuses them.  Returns the
     flag coordinates and the unique block-diagonal residue; the coordinates
     depend only on the coset of g modulo block-diagonal factors.  Both are
@@ -184,8 +186,15 @@ def decompose_unitary(g, profile):
     exceed ``RANK_TOL``, so every X lies strictly inside the ball.  ``g``
     is not modified.
     """
-    cur = require_unitary(g).copy()
-    ks = validate_profile(profile, n=cur.shape[0])
+    g = require_unitary(g)
+    return _peel(g.copy(), validate_profile(profile, n=g.shape[0]))
+
+
+def _peel(cur, ks):
+    """:func:`decompose_unitary` of a unitary ``cur`` that the caller owns, over a valid profile.
+
+    Skips the unitarity check, for eigenvectors from ``eigh``; ``cur`` is overwritten.
+    """
     xs, charts, factors, residues = [], [], [], []
     for nj, kj in level_dimensions(ks):
         r = nj - kj
@@ -193,14 +202,15 @@ def decompose_unitary(g, profile):
         rows = _gather_rows(cur, sigma, r)
         _apply_level(rows, -xv, v, c)
         residues.append(rows[r:, r:].copy())
-        cur = rows[:r, :r]
+        # a contiguous copy: elementwise updates of a strided view pay per row
+        cur = rows[:r, :r].copy()
         xs.append(x)
         charts.append(sigma)
         factors.append((xv, v, c))
     coords = _unchecked(
         FlagCoordinates, profile=ks, xs=tuple(xs), charts=tuple(charts), factors=tuple(factors)
     )
-    blocks = (cur.copy(),) + tuple(reversed(residues))
+    blocks = (cur,) + tuple(reversed(residues))
     return coords, _unchecked(BlockDiagonalUnitary, blocks=blocks)
 
 
@@ -281,6 +291,15 @@ def _panels(levels):
 def _apply_level(blk, xv, v, c):
     """blk <- W blk for one level's section, as two rank-p row updates, in place; len(xv) rows on top."""
     top, bottom = blk[: xv.shape[0]], blk[xv.shape[0] :]
+    if v.shape[0] == 1:
+        # k = 1: V is a unit scalar w and the bottom block of W is c, so one
+        # gemv and a rank-one broadcast update replace four 1 x 1 products
+        w, c = complex(v[0, 0]), float(c[0])
+        t = xv.conj().T @ top
+        top += xv * (w.conjugate() * bottom - t / (1.0 + c))
+        bottom *= c
+        bottom -= w * t
+        return
     t, b = xv.conj().T @ top, v.conj().T @ bottom
     # [[A, X], [-X*, C]] @ blk, with A, C and X factored as in the peel
     top += xv @ ((-1.0 / (1.0 + c))[:, None] * t + b)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GapAmbiguityError, ValidationError
 from .linalg import EPS_HERMITIAN, PSD_TOL, require_hermitian, require_tol
-from .coset import FlagCoordinates, decompose_unitary, flag_section, validate_profile
+from .coset import FlagCoordinates, _peel, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
 SPLIT_FACTOR = 10.0  # a gap of at least SPLIT_FACTOR * gap_tol splits a cluster
@@ -162,7 +162,7 @@ def deparametrize(rho, gap_tol=GAP_TOL):
     sizes = stops - starts
     profile = tuple(sizes.tolist())
     spectrum = Spectrum(profile, tuple((np.add.reduceat(w, starts) / sizes).tolist()))
-    coords, _ = decompose_unitary(v, profile)
+    coords, _ = _peel(v.copy(), profile)
     return DensityParameters(spectrum, coords)
 
 

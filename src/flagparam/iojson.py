@@ -30,9 +30,17 @@ def matrix_to_json(a) -> dict:
 
 
 def _json_array(value, kinds, message):
-    """A JSON array, as a tuple, whose entries' exact types are in the set ``kinds`` (no bools)."""
+    """A JSON array, as a tuple, whose entries' exact types are in the set ``kinds`` (no bools).
+
+    Integer entries must fit the array's dtype: a double when ``kinds`` has
+    float, else a 64-bit int.  JSON integers have no bound, and one beyond
+    it would raise ``OverflowError`` deep in a constructor.
+    """
     if isinstance(value, list) and set(map(type, value)) <= kinds:
-        return tuple(value)
+        try:
+            return tuple(np.array(value, dtype=float if float in kinds else np.int64).tolist())
+        except OverflowError:
+            message += " in range"
     raise ValidationError(f"{message}, got {value!r}", code="BAD_JSON")
 
 

@@ -454,6 +454,47 @@ class TestFrameChartSelection:
             assert all(np.array_equal(a, b) for a, b in zip(factors, expected, strict=True))
 
 
+class TestRankOneChartFactors:
+    """A k = 1 level takes its chart and factors in closed form, without an SVD."""
+
+    @staticmethod
+    def frames():
+        rng = np.random.default_rng(44)
+        for make_frame in (sparse_frame, near_tolerance_frame, small_row_frame):
+            for _ in range(300):
+                yield make_frame(rng, int(rng.integers(2, 9)), 1)
+        for n in list(range(2, 9)) * 20 + [64] * 20:
+            yield frame_of_unitary(haar_unitary(n, rng), 1)
+
+    def test_against_svd(self):
+        mismatches, off_identity = [], 0
+        for f in self.frames():
+            n = f.shape[0]
+            sigma, (x, xv, v, c) = select_frame_chart(f)
+            expected = scan_chart(f)
+            if sigma != expected:
+                mismatches.append((n, expected, sigma))
+                continue
+            off_identity += sigma != identity_chart(n)
+            rows = np.array(sigma) - 1
+            f_top, b = f[rows[:-1]], f[rows[-1:]]
+            v_left, s, wh = np.linalg.svd(b.conj().T)
+            assert np.abs(x - f_top @ v_left @ wh).max() <= 1e-15
+            assert np.array_equal(xv, x) and np.array_equal(v, [[1.0]])
+            assert np.array_equal(c, np.abs(b[:, 0]))
+            assert c[0] == pytest.approx(s[0], rel=1e-15)
+        assert mismatches == []
+        assert off_identity > 300  # many frames leave the identity chart
+
+    def test_entry_at_tolerance(self):
+        # |f_n| = RANK_TOL fails the strict test, so row n - 1 is designated
+        f = np.array([[0.6], [np.sqrt(0.64 - RANK_TOL**2)], [RANK_TOL]], dtype=complex)
+        assert np.abs(f[-1, 0]) == RANK_TOL
+        assert select_frame_chart(f)[0] == scan_chart(f) == (1, 3, 2)
+        with pytest.raises(OutOfChartError):
+            frame_chart_factors(f, identity_chart(3))
+
+
 class TestSections:
     def test_identity_section(self):
         np.testing.assert_allclose(

@@ -96,6 +96,21 @@ class TestParamToRho:
         assert r.returncode == 2
         assert json.loads(r.stdout)["error"]["code"] == "BAD_JSON"
 
+    @pytest.mark.parametrize("field", ["lambdas", "profile", "chart"])
+    def test_integer_out_of_range(self, field):
+        # JSON integers have no bound: 400 nines overflow a double and an int64
+        big = int("9" * 400)
+        if field == "lambdas":
+            doc = {"profile": [1], "lambdas": [big], "levels": []}
+        elif field == "profile":
+            doc = {"profile": [big], "lambdas": [1.0], "levels": []}
+        else:
+            doc = golden_31_params()
+            doc["levels"][0]["chart"] = [big, 1, 2, 3]
+        r = run_cli(["param-to-rho"], json.dumps(doc))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "BAD_JSON"
+
     def test_boolean_matrix_entry(self):
         doc = matrix_to_json(np.eye(2) / 2)
         doc["im"][0][1] = False

@@ -313,8 +313,8 @@ class TestDeparametrize:
 
 class TestSvdCount:
     def test_roundtrip_reuses_peel_factors(self, monkeypatch):
-        # one chart-block SVD per level in the peel; the rebuild reads the
-        # peel's (XV, V, c) and takes none
+        # the peel reads a rank-one level's factors off its one chart-block
+        # entry, and the rebuild reuses the peel's (XV, V, c): no SVD at all
         svd, calls = np.linalg.svd, []
 
         def counting_svd(*args, **kwargs):
@@ -332,7 +332,7 @@ class TestSvdCount:
             params = deparametrize((rho + rho.conj().T) / 2)
             back = parametrize(params)
             assert params.spectrum.profile == (1,) * 8
-            assert len(calls) == 7
+            assert len(calls) == 0
             assert frobenius(back - rho) <= 1e-10
 
 
