@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .linalg import (
 from .charts import (
     _gather_rows,
     _is_identity,
+    _line_chart,
     _section_of_factors,
     _select_frame_chart,
     frame_chart_factors,
@@ -59,8 +61,8 @@ def level_dimensions(profile):
     Level j lives on G(k_j, C^(n_j)) with n_j = k_1 + ... + k_j; the list runs
     j = m, m-1, ..., 2 and is empty for a single-block profile.
     """
-    sizes = np.cumsum(profile)
-    return [(int(sizes[j]), int(profile[j])) for j in range(len(profile) - 1, 0, -1)]
+    sizes = list(accumulate(profile))
+    return [(sizes[j], profile[j]) for j in range(len(profile) - 1, 0, -1)]
 
 
 def _unchecked(cls, **values):
@@ -176,8 +178,13 @@ def decompose_unitary(g, profile):
     applies the rebuild's level kernel to the (-XV, V, c) factors that the
     chart search reads off the SVD of the chart block it accepts (see
     :func:`~flagparam.charts.frame_chart_factors`).  A rank-one level takes
-    no SVD: its block is one entry b, so c = |b|, and its chart is the first
-    valid one found by one comparison.  The factors travel with
+    no SVD and no chart search: its chart is the last row d with
+    |f_d| > ``RANK_TOL``, found by one comparison, and its block is one
+    entry b, so c = |b|.  Row d moves to the bottom (no move on the
+    identity chart); then one gemv of x* with the top r rows and one
+    rank-one update of the r x r block that survives give the residue entry
+    and the next block, and nothing else of the product is formed (see
+    :func:`_peel_line`).  The factors travel with
     the coordinates, so :func:`reconstruct_unitary` reuses them.  Returns the
     flag coordinates and the unique block-diagonal residue; the coordinates
     depend only on the coset of g modulo block-diagonal factors.  Both are
@@ -193,17 +200,27 @@ def decompose_unitary(g, profile):
 def _peel(cur, ks):
     """:func:`decompose_unitary` of a unitary ``cur`` that the caller owns, over a valid profile.
 
-    Skips the unitarity check, for eigenvectors from ``eigh``; ``cur`` is overwritten.
+    Skips the unitarity check, for eigenvectors from ``eigh``; ``cur`` may
+    be overwritten.  A rank-one level goes through :func:`_peel_line`, which
+    computes only the residue entry and the next block, each a fresh array;
+    a wider level applies the rebuild's kernel to all n_j rows in place and
+    copies out the two diagonal blocks.
     """
     xs, charts, factors, residues = [], [], [], []
     for nj, kj in level_dimensions(ks):
         r = nj - kj
-        sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:])
-        rows = _gather_rows(cur, sigma, r)
-        _apply_level(rows, -xv, v, c)
-        residues.append(rows[r:, r:].copy())
-        # a contiguous copy: elementwise updates of a strided view pay per row
-        cur = rows[:r, :r].copy()
+        if kj == 1:
+            sigma, c = _line_chart(cur[:, r])
+            xv, residue, cur = _peel_line(_gather_rows(cur, sigma, r), c)
+            x, v = xv, _UNIT
+        else:
+            sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:])
+            rows = _gather_rows(cur, sigma, r)
+            _apply_level(rows, -xv, v, c)
+            residue = rows[r:, r:].copy()
+            # a contiguous copy: elementwise updates of a strided view pay per row
+            cur = rows[:r, :r].copy()
+        residues.append(residue)
         xs.append(x)
         charts.append(sigma)
         factors.append((xv, v, c))
@@ -212,6 +229,37 @@ def _peel(cur, ks):
     )
     blocks = (cur,) + tuple(reversed(residues))
     return coords, _unchecked(BlockDiagonalUnitary, blocks=blocks)
+
+
+# V of every rank-one level the peel builds, shared read-only: a fresh
+# 1 x 1 array costs about 1 us, some 5 % of a level at n = 64
+_UNIT = np.ones((1, 1), dtype=complex)
+_UNIT.flags.writeable = False
+
+
+def _peel_line(rows, c):
+    """One rank-one level of the peel, on ``rows`` in chart order: (XV, residue, next block).
+
+    With b = rows[r, r], c = |b| and x = rows[:r, r] conj(b) / c, the level
+    multiplies ``rows`` by W(X)* = [[I - x x* / (1 + c), -x], [x*, c]].  The
+    peel keeps only the residue entry and the leading r x r block of the
+    product, and one gemv s = x* rows[:r] gives both: the residue is
+    c b + s[r] and the next block is rows[:r, :r] - x (rows[r, :r] +
+    s[:r] / (1 + c)).  The outer product is the one fresh r x r array, and
+    rows[:r, :r] is added into it, so the block comes out contiguous with
+    no copy; subtracting the product from rows[:r, :r] would allocate a
+    second r x r array, which made deparametrize on (1,)*256 about 14 %
+    slower.
+    """
+    r, c = rows.shape[0] - 1, float(c[0])
+    b = complex(rows[r, r])
+    x = rows[:r, r] * (b.conjugate() / c)
+    s = x.conj() @ rows[:r]
+    y = s[:r] * (-1.0 / (1.0 + c))
+    y -= rows[r, :r]
+    nxt = np.multiply.outer(x, y)
+    nxt += rows[:r, :r]
+    return x.reshape(r, 1), np.array([[c * b + s[r]]]), nxt
 
 
 # Rank-one levels (one cosine, Z = [[XV, 0], [0, V]] two columns wide) share
@@ -291,15 +339,6 @@ def _panels(levels):
 def _apply_level(blk, xv, v, c):
     """blk <- W blk for one level's section, as two rank-p row updates, in place; len(xv) rows on top."""
     top, bottom = blk[: xv.shape[0]], blk[xv.shape[0] :]
-    if v.shape[0] == 1:
-        # k = 1: V is a unit scalar w and the bottom block of W is c, so one
-        # gemv and a rank-one broadcast update replace four 1 x 1 products
-        w, c = complex(v[0, 0]), float(c[0])
-        t = xv.conj().T @ top
-        top += xv * (w.conjugate() * bottom - t / (1.0 + c))
-        bottom *= c
-        bottom -= w * t
-        return
     t, b = xv.conj().T @ top, v.conj().T @ bottom
     # [[A, X], [-X*, C]] @ blk, with A, C and X factored as in the peel
     top += xv @ ((-1.0 / (1.0 + c))[:, None] * t + b)

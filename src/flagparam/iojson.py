@@ -16,6 +16,12 @@ from .errors import ValidationError
 from .coset import FlagCoordinates, validate_profile
 from .density import DensityParameters, Spectrum
 
+# The largest n a parameter document may name.  The library is for dense
+# problems of n up to a few hundred; a profile is checked against this
+# before anything n x n is built, since a document without levels ties n
+# to no array it carries.
+MAX_N = 1024
+
 
 def matrix_to_json(a) -> dict:
     a = np.asarray(a, dtype=complex)
@@ -96,6 +102,9 @@ def params_from_json(doc) -> DensityParameters:
     profile = validate_profile(
         _json_array(doc["profile"], {int}, "profile must be an array of integers")
     )
+    n = sum(profile)
+    if n > MAX_N:
+        raise ValidationError(f"profile gives n = {n}, above MAX_N = {MAX_N}", code="BAD_DIMENSION")
     levels = doc["levels"]
     if not isinstance(levels, list):
         raise ValidationError("levels must be an array", code="BAD_JSON")
@@ -105,9 +114,9 @@ def params_from_json(doc) -> DensityParameters:
             raise ValidationError("each level needs 'chart' and 'X'", code="BAD_JSON")
         charts.append(_json_array(entry["chart"], {int}, "chart must be an array of integers"))
         xs.append(matrix_from_json(entry["X"]))
-    if charts and len(charts[0]) != sum(profile):
+    if charts and len(charts[0]) != n:
         raise ValidationError(
-            f"profile {profile} sums to {sum(profile)} but the outermost level "
+            f"profile {profile} sums to {n} but the outermost level "
             f"has dimension {len(charts[0])}",
             code="PROFILE_SUM",
         )

@@ -57,6 +57,16 @@ class TestParamToRho:
         rho = matrix_from_json(json.loads(r.stdout))
         np.testing.assert_allclose(rho, np.eye(4) / 4, atol=1e-15)
 
+    def test_dimension_out_of_range(self):
+        # 2^40 * 2^-40 is exactly 1, so every other check passes; without a
+        # bound the rebuild would ask for a 2^40 x 2^40 identity
+        doc = {"profile": [1099511627776], "lambdas": [9.094947017729282e-13], "levels": []}
+        r = run_cli(["param-to-rho"], json.dumps(doc))
+        assert r.returncode == 2
+        error = json.loads(r.stdout)["error"]
+        assert error["code"] == "BAD_DIMENSION"
+        assert "n = 1099511627776" in error["message"]
+
     def test_golden_example(self):
         r = run_cli(["param-to-rho"], json.dumps(golden_31_params()))
         assert r.returncode == 0

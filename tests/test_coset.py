@@ -289,6 +289,22 @@ class TestFactoredSections:
         coords = self.check_parity(g, (r, k))
         assert coords.charts == (identity_chart(r + k),)
 
+    @pytest.mark.parametrize("scale", [1.5, 0.5])
+    def test_rank_one_at_chart_threshold(self, scale):
+        # the outermost bottom entry just above RANK_TOL keeps the identity
+        # chart; just below, the chart designates the last row d < n with
+        # |f_d| > RANK_TOL, and that row moves to the bottom
+        rng = np.random.default_rng(41)
+        n = 20
+        for _ in range(3):
+            g = near_boundary_unitary(n - 1, 1, scale * RANK_TOL, rng)
+            assert abs(g[-1, -1]) == pytest.approx(scale * RANK_TOL, rel=1e-6)
+            sigma = self.check_parity(g, (1,) * n).charts[0]
+            d = 1 + np.flatnonzero(np.abs(g[:, -1]) > RANK_TOL)[-1]
+            assert sigma[-1] == d
+            assert (d == n) == (scale > 1)
+            assert (sigma == identity_chart(n)) == (scale > 1)
+
 
 def swapped_unitary(rng):
     """The input of ``test_non_identity_chart``: its outermost level leaves the identity chart."""

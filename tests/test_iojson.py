@@ -5,6 +5,7 @@ import pytest
 
 from flagparam import ValidationError, deparametrize, parametrize
 from flagparam.iojson import (
+    MAX_N,
     coords_to_json,
     dumps,
     loads,
@@ -123,6 +124,16 @@ class TestParamsJSON:
         with pytest.raises(ValidationError) as err:
             params_from_json(doc)
         assert err.value.code == "BAD_JSON"
+
+    def test_dimension_bound(self):
+        # the bound is checked before any n x n work, so MAX_N itself reads
+        # back at once, and one more is refused with n in the message
+        doc = {"profile": [MAX_N], "lambdas": [1.0 / MAX_N], "levels": []}
+        assert params_from_json(doc).spectrum.n == MAX_N
+        doc = {"profile": [MAX_N, 1], "lambdas": [0.5 / MAX_N, 0.5], "levels": []}
+        with pytest.raises(ValidationError, match=f"n = {MAX_N + 1}") as err:
+            params_from_json(doc)
+        assert err.value.code == "BAD_DIMENSION"
 
     def test_bad_lambda_sum(self):
         rng = np.random.default_rng(5)
