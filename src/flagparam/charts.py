@@ -28,8 +28,8 @@ from .linalg import (
     as_square,
     ball_factors,
     block_rotation,
-    hermiticity_defect,
     frobenius,
+    hermitian_part,
     identity_plus,
     open_ball_factors,
 )
@@ -170,10 +170,7 @@ def frame_of_projector(p):
     Columns are the eigenvectors of the top (unit) eigenvalues in descending
     eigenvalue order; deterministic for a given input.
     """
-    p = as_square(p)
-    if hermiticity_defect(p) > PROJECTOR_TOL:
-        raise ValidationError("projector is not Hermitian", code="NOT_PROJECTOR")
-    h = (p + p.conj().T) / 2
+    h = hermitian_part(p, PROJECTOR_TOL, code="NOT_PROJECTOR")
     if frobenius(h @ h - h) > PROJECTOR_TOL:
         raise ValidationError("matrix is not idempotent", code="NOT_PROJECTOR")
     trace = float(np.trace(h).real)
@@ -208,25 +205,50 @@ def frame_chart_factors(f, sigma):
     return _chart_factors(f, validate_chart(sigma, k, n))
 
 
-def _chart_factors(f, sigma):
-    """:func:`frame_chart_factors` for a chart already known to be valid."""
+# V of every k = 1 chart block, shared read-only: a fresh 1 x 1 array costs
+# about 1 us, some 5 % of a peel level at n = 64
+_UNIT = np.ones((1, 1), dtype=complex)
+_UNIT.flags.writeable = False
+
+
+def _chart_factors(f, sigma, left=None, c=None):
+    """:func:`frame_chart_factors` for a chart already known to be valid.
+
+    ``left``, the other r = n - k columns of a unitary ending in f, makes
+    the factors p = min(r, k) columns wide when k > r, as X has rank <= r:
+    its rows L in chart order have B B* = I - L L*, so with Z from a QR of
+    the bottom ones the SVD B* Z = W' S Q* gives the cosines below 1,
+    V = Z Q and XV = F_top W', each to absolute accuracy at cosines near
+    ``RANK_TOL`` (Z's rounding reaches only W', along the null space of
+    F_top).  For k = 1, ``c`` = |b| may come already checked.
+    """
     n, k = f.shape
-    f_perm = _gather_rows(f, sigma, n - k)
+    r = n - k
     if k == 1:
-        # the block is one entry b: c = |b|, V = 1 and X = F_top conj(b) / |b|
-        c = np.abs(f_perm[n - 1 :, 0])
-        _require_in_chart(c, sigma)
-        xv = f_perm[: n - 1, :] * (f_perm[n - 1, 0].conjugate() / c[0])
-        return xv, xv, np.array([[1.0 + 0.0j]]), c
-    v_left, c, wh = np.linalg.svd(f_perm[n - k :, :].conj().T)
+        # the block is one entry b = f_d: c = |b|, V = 1 and X = F_top conj(b) / |b|
+        d = sigma[-1]
+        if c is None:
+            c = np.abs(f[d - 1])
+            _require_in_chart(c, sigma)
+        top = f[:r] if d == n else f[np.array(sigma[:r]) - 1]
+        xv = top * (complex(f[d - 1, 0]).conjugate() / float(c[0]))
+        return xv, xv, _UNIT, c
+    f_perm = _gather_rows(f, sigma, r)
+    top, b = f_perm[:r], f_perm[r:]
+    if left is None or k <= r:
+        w, c, vh = np.linalg.svd(b.conj().T)
+    else:
+        z = np.linalg.qr(_gather_rows(left, sigma, r)[r:])[0]
+        w, c, qh = np.linalg.svd(b.conj().T @ z, full_matrices=False)
+        vh = qh @ z.conj().T
     _require_in_chart(c, sigma)
-    xv = f_perm[: n - k, :] @ v_left
-    return xv @ wh, xv, wh.conj().T, c
+    xv = top @ w
+    return xv @ vh, xv, vh.conj().T, c
 
 
 def _require_in_chart(c, sigma):
     """Raise :class:`OutOfChartError` unless the smallest cosine c[-1] exceeds ``RANK_TOL``."""
-    if c[-1] <= RANK_TOL:
+    if c.size and c[-1] <= RANK_TOL:
         raise OutOfChartError(
             f"block for chart {sigma} is singular: smallest singular value "
             f"{c[-1]:.3e} <= RANK_TOL={RANK_TOL:.1e}"
@@ -290,7 +312,7 @@ _NO_CHART = f"no chart contains the given point at RANK_TOL={RANK_TOL:.1e}"
 
 
 def _line_chart(f):
-    """First valid chart of the line spanned by a column ``f``, with c = |f_d| as a 1-entry array.
+    """First valid chart of the line spanned by an n x 1 frame ``f``, with its factors.
 
     Chart d designates row d, and the priority order runs d = n, ..., 1, so
     the first valid chart designates the last row with |f_d| > ``RANK_TOL``:
@@ -298,25 +320,26 @@ def _line_chart(f):
     agrees with the comparison bit for bit.  Raises :class:`NoChartError`
     when no row qualifies.
     """
-    a = np.abs(f)
+    a = np.abs(f[:, 0])
     n = a.size
     if a[-1] > RANK_TOL:
         # the identity chart, the common case, on its own: 2.9 us against
         # 5.6 us for the general rule at n = 64 (2-core Xeon), per peel level
-        return identity_chart(n), a[n - 1 :]
-    valid = (a > RANK_TOL).nonzero()[0]
-    if not valid.size:
-        raise NoChartError(_NO_CHART)
-    d = int(valid[-1]) + 1
-    return tuple(range(1, d)) + tuple(range(d + 1, n + 1)) + (d,), a[d - 1 : d]
+        sigma, d = identity_chart(n), n
+    else:
+        valid = (a > RANK_TOL).nonzero()[0]
+        if not valid.size:
+            raise NoChartError(_NO_CHART)
+        d = int(valid[-1]) + 1
+        sigma = tuple(range(1, d)) + tuple(range(d + 1, n + 1)) + (d,)
+    return sigma, _chart_factors(f, sigma, c=a[d - 1 : d])
 
 
-def _select_frame_chart(f):
-    """:func:`select_frame_chart` for a frame already coerced by ``as_matrix``."""
+def _select_frame_chart(f, left=None):
+    """:func:`select_frame_chart` for a frame coerced by ``as_matrix``; ``left`` as in :func:`_chart_factors`."""
     n, k = f.shape
     if k == 1:
-        sigma, _ = _line_chart(f[:, 0])
-        return sigma, _chart_factors(f, sigma)
+        return _line_chart(f)
 
     def outside(top):
         in_top = set(top)
@@ -340,7 +363,7 @@ def _select_frame_chart(f):
                 # per level that is wider than a line
                 sigma = identity_chart(n)
             try:
-                return sigma, _chart_factors(f, sigma)
+                return sigma, _chart_factors(f, sigma, left)
             except OutOfChartError:
                 pass
         fresh = not (need > 1 and passes(top + [i]))

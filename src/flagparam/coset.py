@@ -32,7 +32,6 @@ from .linalg import (
 from .charts import (
     _gather_rows,
     _is_identity,
-    _line_chart,
     _section_of_factors,
     _select_frame_chart,
     frame_chart_factors,
@@ -84,8 +83,8 @@ class FlagCoordinates:
     ``xs`` holds one ball coordinate per level, outermost level first;
     ``charts`` records which chart produced each coordinate (needed to map
     back, and for reproducible serialization).  ``factors`` holds each
-    level's (XV, V, c) section factors (see
-    :func:`~flagparam.linalg.ball_factors`): from the chart-block SVD when
+    level's (XV, V, c) section factors, min(r, k) columns wide (see
+    :func:`~flagparam.linalg.ball_factors`): from the chart block when
     :func:`decompose_unitary` built the coordinates, otherwise from one thin
     SVD of X, which also checks ||X|| < 1 (see
     :func:`~flagparam.linalg.open_ball_factors`).
@@ -173,99 +172,69 @@ def decompose_unitary(g, profile):
     n_j x n_j block are a frame of the level's plane; it is chart-selected
     and mapped to its ball coordinate X, the section W(X) is divided out of
     the rows gathered by the chart (none are gathered on the identity
-    chart), and the upper-left block carries on.  W(X)* = W(-X), because
-    W's diagonal blocks depend on X only through XX* and X*X, so the peel
-    applies the rebuild's level kernel to the (-XV, V, c) factors that the
-    chart search reads off the SVD of the chart block it accepts (see
-    :func:`~flagparam.charts.frame_chart_factors`).  A rank-one level takes
-    no SVD and no chart search: its chart is the last row d with
-    |f_d| > ``RANK_TOL``, found by one comparison, and its block is one
-    entry b, so c = |b|.  Row d moves to the bottom (no move on the
-    identity chart); then one gemv of x* with the top r rows and one
-    rank-one update of the r x r block that survives give the residue entry
-    and the next block, and nothing else of the product is formed (see
-    :func:`_peel_line`).  The factors travel with
-    the coordinates, so :func:`reconstruct_unitary` reuses them.  Returns the
-    flag coordinates and the unique block-diagonal residue; the coordinates
-    depend only on the coset of g modulo block-diagonal factors.  Both are
-    built without re-running their constructors' checks, which hold by
-    construction: the chart search accepts a level only when its cosines
-    exceed ``RANK_TOL``, so every X lies strictly inside the ball.  ``g``
-    is not modified.
+    chart), and the upper-left block carries on.  The chart search reads
+    the p = min(r, k) column factors (XV, V, c) off the chart block it
+    accepts (see :func:`~flagparam.charts.frame_chart_factors`; a rank-one
+    level takes no SVD), and the peel divides out W(X) as p Hermitian
+    reflectors through them (see :func:`_peel`).  The factors travel with
+    the coordinates, so :func:`reconstruct_unitary` reuses them.  Returns
+    the flag coordinates and the unique block-diagonal residue; the
+    coordinates depend only on the coset of g modulo block-diagonal
+    factors.  Both are built without re-running their constructors' checks,
+    which hold by construction: the chart search accepts a level only when
+    its cosines exceed ``RANK_TOL``, so every X lies strictly inside the
+    ball.  ``g`` is not modified.
     """
     g = require_unitary(g)
-    return _peel(g.copy(), validate_profile(profile, n=g.shape[0]))
+    return _peel(g, validate_profile(profile, n=g.shape[0]), residues=True)
 
 
-def _peel(cur, ks):
-    """:func:`decompose_unitary` of a unitary ``cur`` that the caller owns, over a valid profile.
+def _peel(cur, ks, residues=False):
+    """:func:`decompose_unitary` of a unitary ``cur`` over a valid profile, without the unitarity check.
 
-    Skips the unitarity check, for eigenvectors from ``eigh``; ``cur`` may
-    be overwritten.  A rank-one level goes through :func:`_peel_line`, which
-    computes only the residue entry and the next block, each a fresh array;
-    a wider level applies the rebuild's kernel to all n_j rows in place and
-    copies out the two diagonal blocks.
+    For eigenvectors from ``eigh``; ``cur`` is only read.  W(X) is p = min(r, k)
+    Hermitian reflectors after p sign flips, (I - Y diag(1 + c) Y*)(I - 2 V^ V^*)
+    with Y = [XV diag(1 / (1 + c)); V] and V^ = [0; V], so W(X)* takes the
+    same factors in the other order.  Per level, with G the n_j rows in
+    chart order, the flips leave the top r rows alone, so the next block is
+    G_top[:, :r] - XV (Y* G[:, :r]): one p x n_j by n_j x r product and one
+    rank-p update, O(n_j r p) flops, whose product is the one fresh r x r
+    array.  The residue
+    (I - 2 V V*)(G_bot[:, r:] - V diag(1 + c) Y* G[:, r:]) is formed only
+    when ``residues`` is set; otherwise the second result is None.
     """
-    xs, charts, factors, residues = [], [], [], []
+    xs, charts, factors, blocks = [], [], [], []
     for nj, kj in level_dimensions(ks):
         r = nj - kj
-        if kj == 1:
-            sigma, c = _line_chart(cur[:, r])
-            xv, residue, cur = _peel_line(_gather_rows(cur, sigma, r), c)
-            x, v = xv, _UNIT
-        else:
-            sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:])
-            rows = _gather_rows(cur, sigma, r)
-            _apply_level(rows, -xv, v, c)
-            residue = rows[r:, r:].copy()
-            # a contiguous copy: elementwise updates of a strided view pay per row
-            cur = rows[:r, :r].copy()
-        residues.append(residue)
+        sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:], cur[:, :r])
+        rows = _gather_rows(cur, sigma, r)
+        yh = np.concatenate((xv / (1.0 + c), v)).conj().T
+        if residues:
+            residue = rows[r:, r:] - v @ ((1.0 + c)[:, None] * (yh @ rows[:, r:]))
+            residue -= v @ (2.0 * (v.conj().T @ residue))
+            blocks.append(residue)
+        t = yh @ rows[:, :r]
+        # matmul of an r x 1 by a 1 x r array takes 1.7x the time of the
+        # broadcast product at r = 63 (2-core Xeon)
+        cur = xv * t if c.size == 1 else xv @ t
+        np.subtract(rows[:r, :r], cur, out=cur)
         xs.append(x)
         charts.append(sigma)
         factors.append((xv, v, c))
     coords = _unchecked(
         FlagCoordinates, profile=ks, xs=tuple(xs), charts=tuple(charts), factors=tuple(factors)
     )
-    blocks = (cur,) + tuple(reversed(residues))
+    if not residues:
+        return coords, None
+    # with no level peeled, cur is still the caller's array
+    blocks = (cur if blocks else cur.copy(),) + tuple(reversed(blocks))
     return coords, _unchecked(BlockDiagonalUnitary, blocks=blocks)
 
 
-# V of every rank-one level the peel builds, shared read-only: a fresh
-# 1 x 1 array costs about 1 us, some 5 % of a level at n = 64
-_UNIT = np.ones((1, 1), dtype=complex)
-_UNIT.flags.writeable = False
-
-
-def _peel_line(rows, c):
-    """One rank-one level of the peel, on ``rows`` in chart order: (XV, residue, next block).
-
-    With b = rows[r, r], c = |b| and x = rows[:r, r] conj(b) / c, the level
-    multiplies ``rows`` by W(X)* = [[I - x x* / (1 + c), -x], [x*, c]].  The
-    peel keeps only the residue entry and the leading r x r block of the
-    product, and one gemv s = x* rows[:r] gives both: the residue is
-    c b + s[r] and the next block is rows[:r, :r] - x (rows[r, :r] +
-    s[:r] / (1 + c)).  The outer product is the one fresh r x r array, and
-    rows[:r, :r] is added into it, so the block comes out contiguous with
-    no copy; subtracting the product from rows[:r, :r] would allocate a
-    second r x r array, which made deparametrize on (1,)*256 about 14 %
-    slower.
-    """
-    r, c = rows.shape[0] - 1, float(c[0])
-    b = complex(rows[r, r])
-    x = rows[:r, r] * (b.conjugate() / c)
-    s = x.conj() @ rows[:r]
-    y = s[:r] * (-1.0 / (1.0 + c))
-    y -= rows[r, :r]
-    nxt = np.multiply.outer(x, y)
-    nxt += rows[:r, :r]
-    return x.reshape(r, 1), np.array([[c * b + s[r]]]), nxt
-
-
-# Rank-one levels (one cosine, Z = [[XV, 0], [0, V]] two columns wide) share
-# compact-WY panels of the rebuild, at most _PANEL_LEVELS to a panel; at 8 a
-# (1,)*64 round trip gains about half as much.  Wider levels keep the
-# structured update: panelling (4,)*n levels slows the rebuild by a quarter.
+# Rank-one levels (one cosine, one Householder column) share compact-WY
+# panels of the rebuild, at most _PANEL_LEVELS to a panel; at 8 a (1,)*64
+# round trip gains about half as much.  Wider levels keep the structured
+# update: panelling (4,)*n levels slows the rebuild by a quarter.
 _PANEL_LEVELS = 16
 
 
@@ -275,15 +244,14 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
     Inverse of :func:`decompose_unitary`: feeding its output back returns the
     original unitary.  The sections are accumulated backward, innermost level
     first, and each step touches only the leading n_j x n_j block, as
-    LAPACK's ZUNGQR does.  A level's section is W = I + Z M Z* with
-    Z = [[XV, 0], [0, V]] and M = [[-1/(1 + c), I], [-I, c - 1]] from the
-    level's (XV, V, c) in ``coords.factors``, so no SVD is taken.  Runs of
-    rank-one levels are applied as panels I + Y T Y* in compact-WY form
-    (Schreiber & Van Loan 1989), with T from the UT transform (Joffrain et
-    al. 2006): T^-1 = blkdiag(M_i^-1) - strict_block_upper(Y* Y).  Every
-    other level is applied alone as two rank-p row updates.  Only a panel's
-    outermost level may leave the identity chart; its row scatter follows
-    the panel.  ``h`` (identity when omitted) is applied block by block.
+    LAPACK's ZUNGQR does, with the level's (XV, V, c) from
+    ``coords.factors``, so no SVD is taken.  Runs of rank-one levels are
+    applied as compact-WY panels (Schreiber & Van Loan 1989) of the
+    reflectors of :func:`_peel`, one column per level (see
+    :func:`_apply_panel`); every other level is applied alone as two
+    rank-p row updates.  Only a panel's outermost level may leave the
+    identity chart; its row scatter follows the panel.  ``h`` (identity
+    when omitted) is applied block by block.
     """
     ks = coords.profile
     if h is not None and h.profile != ks:
@@ -299,8 +267,7 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
         if len(panel) == 1:
             _apply_level(blk, *panel[0][2])
         else:
-            y, tinv = _compact_wy(panel)
-            blk += y @ np.linalg.solve(tinv, y.conj().T @ blk)
+            _apply_panel(blk, panel)
         if moved:
             g[np.array(sigma) - 1, :nj] = blk.copy()
     if h is not None:
@@ -345,29 +312,29 @@ def _apply_level(blk, xv, v, c):
     bottom += v @ ((c - 1.0)[:, None] * b - t)
 
 
-def _compact_wy(panel):
-    """(Y, T^-1) with W_outer ... W_inner = I + Y T Y* for rank-one levels listed innermost first.
+def _apply_panel(blk, panel):
+    """blk <- W_outer ... W_inner blk for rank-one levels listed innermost first, in place.
 
-    Y = [Z_outer, ..., Z_inner] is zero-padded to the outermost level's n_j
-    rows; level i owns columns 2i and 2i + 1.  Each M_i has the inverse
-    [[(c^2 - 1)/2, -(1 + c)/2], [(1 + c)/2, -1/2]], which needs no division
-    and overwrites the diagonal blocks of the strict upper triangle of
-    -Y* Y.
+    Each W = (I - (1 + c) y y*)(I - 2 V^ V^*), y = [XV / (1 + c); V], V^ = [0; V]
+    (see :func:`_peel`).  The V^ tile the rows from the innermost r down, still
+    the identity, so every I - 2 V V* is written there at once; the reflectors
+    act as I - Y T Y*, Y outermost level first, with T from the UT transform
+    (Joffrain et al. 2006): T^-1 = diag(1 / (1 + c)) + strict_upper(Y* Y).
     """
-    panel = panel[::-1]
-    y = np.zeros((panel[0][0][0], 2 * len(panel)), dtype=complex)
+    (nj, kj), _, _ = panel[0]
+    n, r0, panel = panel[-1][0][0], nj - kj, panel[::-1]
+    y = np.zeros((n, len(panel)), dtype=complex)
+    v_hat = np.zeros((n - r0, len(panel)), dtype=complex)
     for i, ((nj, kj), _, (xv, v, _)) in enumerate(panel):
-        y[: nj - kj, 2 * i] = xv[:, 0]
-        y[nj - kj : nj, 2 * i + 1] = v[:, 0]
-    tinv = np.triu(-(y.conj().T @ y), 1)
-    c = np.concatenate([c for _, _, (_, _, c) in panel])
-    first = np.arange(0, y.shape[1], 2)
-    second = first + 1
-    tinv[first, first] = 0.5 * (c - 1.0) * (c + 1.0)
-    tinv[first, second] = -0.5 * (1.0 + c)
-    tinv[second, first] = 0.5 * (1.0 + c)
-    tinv[second, second] = -0.5
-    return y, tinv
+        y[: nj - kj, i] = xv[:, 0]
+        v_hat[nj - kj - r0 : nj - r0, i] = v[:, 0]
+    d = 1.0 / (1.0 + np.concatenate([c for _, _, (_, _, c) in panel]))
+    y *= d
+    y[r0:] += v_hat
+    blk[r0:, r0:] -= 2.0 * (v_hat @ v_hat.conj().T)
+    tinv = np.triu(y.conj().T @ y, 1)
+    tinv.flat[:: len(panel) + 1] = d
+    blk -= y @ np.linalg.solve(tinv, y.conj().T @ blk)
 
 
 def flag_section(coords: FlagCoordinates):

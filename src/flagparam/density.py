@@ -10,12 +10,13 @@ coset decomposition of the eigenvector unitary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GapAmbiguityError, ValidationError
-from .linalg import EPS_HERMITIAN, PSD_TOL, require_hermitian, require_tol
+from .linalg import EPS_HERMITIAN, PSD_TOL, hermitian_part, require_tol
 from .coset import FlagCoordinates, _peel, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
@@ -39,7 +40,7 @@ class Spectrum:
     def __post_init__(self):
         profile = validate_profile(self.profile)
         lambdas = tuple(float(v) for v in self.lambdas)
-        if not np.all(np.isfinite(lambdas)):
+        if not all(map(math.isfinite, lambdas)):
             raise ValidationError(f"eigenvalues must be finite: {lambdas}", code="NOT_FINITE")
         if len(lambdas) != len(profile):
             raise ValidationError(
@@ -103,9 +104,8 @@ def parametrize(params: DensityParameters):
 
 def _hermitian_unit_trace(rho, herm_tol, trace_tol):
     """Symmetrized input after the Hermiticity and unit-trace checks."""
-    rho = require_hermitian(rho, herm_tol)
-    h = (rho + rho.conj().T) / 2
-    trace = float(np.trace(h).real)
+    h = hermitian_part(rho, herm_tol)
+    trace = float(h.trace().real)
     if abs(trace - 1.0) > trace_tol:
         raise ValidationError(f"trace {trace!r} != 1", code="BAD_TRACE")
     return h
@@ -133,37 +133,48 @@ def deparametrize(rho, gap_tol=GAP_TOL):
     splits, and a gap in between, or a chain of merges spread over more than
     ``gap_tol``, raises :class:`GapAmbiguityError`: the multiplicity profile
     would be unstable at that tolerance.  A ``gap_tol`` that is negative or
-    not finite raises ``BAD_TOL``.  The eigenvector
-    unitary is then decomposed over the detected profile; its block-diagonal
-    residue is commutant freedom and is dropped.
+    not finite raises ``BAD_TOL``.  The eigenvector unitary is then peeled
+    over the detected profile; its block-diagonal residue is commutant
+    freedom and is never formed.
     """
     gap_tol = require_tol(gap_tol, "gap_tol")
     h = _hermitian_unit_trace(rho, EPS_HERMITIAN, TRACE_TOL)
     w, v = np.linalg.eigh(h)
     _require_psd(w)
-    w = w[::-1]
-    v = v[:, ::-1]
-    gaps = w[:-1] - w[1:]
-    ambiguous = (gaps > gap_tol) & (gaps < SPLIT_FACTOR * gap_tol)
-    if np.any(ambiguous):
-        g = float(gaps[np.argmax(ambiguous)])
+    profile, lambdas = _clusters(w[::-1], gap_tol)
+    coords, _ = _peel(v[:, ::-1].copy(), profile)
+    return DensityParameters(Spectrum(profile, lambdas), coords)
+
+
+def _clusters(w, gap_tol):
+    """(profile, lambdas) of the decreasing eigenvalue array ``w``, in one pass over ``w.tolist()``.
+
+    The first gap in the ambiguity band raises at once, a spread above
+    ``gap_tol`` only after the pass; one ``np.add.reduceat`` gives the means.
+    """
+    vals = w.tolist()
+    split = SPLIT_FACTOR * gap_tol
+    starts, spread, first = [0], 0.0, vals[0]
+    for i, (prev, cur) in enumerate(zip(vals, vals[1:]), 1):
+        gap = prev - cur
+        if gap > gap_tol:
+            if gap < split:
+                raise GapAmbiguityError(
+                    f"eigenvalue gap {gap:.3e} inside ({gap_tol:.1e}, {split:.1e}): "
+                    "clustering is unstable, pick a different gap_tol"
+                )
+            spread = max(spread, first - prev)
+            starts.append(i)
+            first = cur
+    spread = max(spread, first - vals[-1])
+    if spread > gap_tol:
         raise GapAmbiguityError(
-            f"eigenvalue gap {g:.3e} inside ({gap_tol:.1e}, {SPLIT_FACTOR * gap_tol:.1e}): "
+            f"merged eigenvalues spread over {spread:.3e} > gap_tol={gap_tol:.1e}: "
             "clustering is unstable, pick a different gap_tol"
         )
-    starts = np.flatnonzero(np.concatenate(([True], gaps > gap_tol)))
-    stops = np.append(starts[1:], w.size)
-    spreads = w[starts] - w[stops - 1]
-    if np.any(spreads > gap_tol):
-        raise GapAmbiguityError(
-            f"merged eigenvalues spread over {float(spreads.max()):.3e} > gap_tol={gap_tol:.1e}: "
-            "clustering is unstable, pick a different gap_tol"
-        )
-    sizes = stops - starts
-    profile = tuple(sizes.tolist())
-    spectrum = Spectrum(profile, tuple((np.add.reduceat(w, starts) / sizes).tolist()))
-    coords, _ = _peel(v.copy(), profile)
-    return DensityParameters(spectrum, coords)
+    bounds = starts + [len(vals)]
+    profile = tuple(b - a for a, b in zip(starts, bounds[1:]))
+    return profile, tuple((np.add.reduceat(w, starts) / profile).tolist())
 
 
 def parameter_count(profile) -> int:

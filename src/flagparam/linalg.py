@@ -29,7 +29,7 @@ def as_matrix(a):
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise ValidationError(f"expected a matrix, got ndim={m.ndim}", code="BAD_SHAPE")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite", code="NOT_FINITE")
     return m
 
@@ -39,7 +39,7 @@ def as_square(a):
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}", code="BAD_SHAPE")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite", code="NOT_FINITE")
     return m
 
@@ -78,14 +78,14 @@ def require_unitary(g):
     return g
 
 
-def require_hermitian(a, tol=EPS_HERMITIAN):
+def hermitian_part(a, tol=EPS_HERMITIAN, code="NOT_HERMITIAN"):
+    """(a + a*) / 2 of a square matrix, after checking ||a - a*||_F <= tol; a* is formed once."""
     a = as_square(a)
-    defect = hermiticity_defect(a)
+    ah = a.conj().T
+    defect = frobenius(a - ah)
     if defect > tol:
-        raise ValidationError(
-            f"matrix is not Hermitian: defect {defect:.3e} > {tol:.3e}", code="NOT_HERMITIAN"
-        )
-    return a
+        raise ValidationError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.3e}", code=code)
+    return (a + ah) / 2
 
 
 def hermitian_sqrt(a, psd_tol=PSD_TOL, herm_tol=EPS_HERMITIAN):
@@ -96,9 +96,7 @@ def hermitian_sqrt(a, psd_tol=PSD_TOL, herm_tol=EPS_HERMITIAN):
     have a square root.  Raises :class:`NotPSDError` for anything below
     ``-psd_tol``.
     """
-    a = require_hermitian(a, herm_tol)
-    h = (a + a.conj().T) / 2
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(hermitian_part(a, herm_tol))
     if w.size and w[0] < -psd_tol:
         raise NotPSDError(f"eigenvalue {w[0]:.6e} below -psd_tol={psd_tol:.1e}")
     s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -17,6 +17,7 @@ from flagparam import (
     ball_unitary,
     coordinates_distance,
     decompose_unitary,
+    deparametrize,
     flag_section,
     haar_unitary,
     identity_chart,
@@ -27,6 +28,7 @@ from flagparam import (
     section_from_projective_factors,
     validate_profile,
 )
+from flagparam import density
 from flagparam.charts import select_frame_chart
 from flagparam.coset import level_dimensions
 from flagparam.linalg import ball_factors, block_diag, frobenius, unitarity_defect
@@ -150,10 +152,11 @@ class TestDecompose:
                 coords, h = decompose_unitary(g, profile)
                 assert frobenius(reconstruct_unitary(coords, h) - g) <= 1e-10
 
-    @pytest.mark.parametrize("profile", [(1,) * 8, (2, 2, 2, 2)])
+    @pytest.mark.parametrize("profile", [(1,) * 8, (2, 2, 2, 2), (2, 5, 1)])
     def test_one_svd_per_level(self, profile, monkeypatch):
         # the chart search hands the SVD that accepted the chart to the peel;
-        # a rank-one level reads its factors off the one block entry, no SVD
+        # a rank-one level reads its factors off the one block entry, no SVD,
+        # and a k > r level takes one thin SVD of B* Z (and one QR)
         svd, calls = np.linalg.svd, []
 
         def counting_svd(*args, **kwargs):
@@ -334,7 +337,7 @@ class TestPeelResults:
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_input_unchanged(self, profile):
-        # the peel works in place on its own copy, never on the caller's array
+        # the peel only reads its input; it neither copies nor writes it
         for g in self.inputs(sum(profile)):
             before = g.tobytes()
             decompose_unitary(g, profile)
@@ -386,6 +389,70 @@ class TestPeelResults:
         assert np.max(np.abs(reconstruct_unitary(coords, h) - g)) <= 1e-14
         public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
         assert np.max(np.abs(reconstruct_unitary(public, h) - g)) <= 1e-14
+
+
+class TestReflectorForm:
+    """W(X) = (I - Y diag(1 + c) Y*)(I - 2 V^ V^*), Y = [XV diag(1 / (1 + c)); V], V^ = [0; V].
+
+    The peel divides these reflectors out and the rebuild's panels apply
+    them, one Householder column per cosine.
+    """
+
+    @pytest.mark.parametrize("norm", [0.3, 0.99, np.sqrt(1.0 - (1.5 * RANK_TOL) ** 2)])
+    @pytest.mark.parametrize("r,k", [(5, 3), (3, 5), (1, 7), (4, 4), (7, 1)])
+    def test_product_is_ball_unitary(self, r, k, norm):
+        rng = np.random.default_rng(46)
+        for _ in range(5):
+            x = random_ball_matrix(r, k, rng, radius=norm)
+            xv, v, c = ball_factors(x)
+            assert c.size == min(r, k)
+            y = np.vstack([xv / (1.0 + c), v])
+            v_hat = np.vstack([np.zeros_like(xv), v])
+            reflectors = np.eye(r + k) - (y * (1.0 + c)) @ y.conj().T
+            flips = np.eye(r + k) - 2.0 * v_hat @ v_hat.conj().T
+            assert np.max(np.abs(reflectors @ flips - ball_unitary(x))) <= 1e-14
+            # orthogonal columns of squared norm 2 / (1 + c): each I - (1 + c) y y* is a reflector
+            gram = y.conj().T @ y
+            assert np.max(np.abs(gram - np.diag(2.0 / (1.0 + c)))) <= 1e-14
+
+
+class TestDeparametrizePeel:
+    """deparametrize's peel is decompose_unitary's, minus the residue."""
+
+    @staticmethod
+    def density(g, profile, rng):
+        lambdas = np.sort(rng.uniform(1.0, 2.0, len(profile)))[::-1]
+        lambdas /= np.dot(lambdas, profile)
+        rho = (g * np.repeat(lambdas, profile)) @ g.conj().T
+        return (rho + rho.conj().T) / 2
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("profile", [(8, 8), (3, 5), (5, 3), (2, 1, 4), (1,) * 6])
+    def test_same_coordinates_no_residue(self, profile, sparse, monkeypatch):
+        peel, calls = density._peel, []
+
+        def spy(cur, ks, *args, **kwargs):
+            out = peel(cur, ks, *args, **kwargs)
+            calls.append((cur.copy(), args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(density, "_peel", spy)
+        rng = np.random.default_rng(47)
+        n = sum(profile)
+        off_identity = 0
+        for _ in range(4):
+            g = sparse_unitary(n, rng) if sparse else haar_unitary(n, rng)
+            params = deparametrize(self.density(g, profile, rng))
+            v, args, kwargs, (coords, residue) = calls[-1]
+            assert not args and not kwargs and residue is None
+            assert params.coords is coords and coords.profile == profile
+            expected, _ = decompose_unitary(v, profile)
+            assert coords.charts == expected.charts
+            assert all(np.array_equal(a, b) for a, b in zip(coords.xs, expected.xs, strict=True))
+            for got, want in zip(coords.factors, expected.factors, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+            off_identity += any(s != identity_chart(len(s)) for s in coords.charts)
+        assert (off_identity > 0) == sparse
 
 
 def reconstruct_from_x(coords, h):
@@ -447,9 +514,10 @@ class TestReconstruct:
 
     # (1,)*40: 39 rank-one levels fill panels of 16, 16 and 7; (1,)*20 +
     # (8,): 19 of them fill two; (1, 3, 1, 1, 2, 1, 1): two rank-one runs
-    # share a panel each (publicly built coordinates join the k = 3 > r
-    # level, whose X has rank one, to the first); every other level, and
-    # every level of (8,)*4, takes the structured update
+    # share a panel each, the first led by the k = 3 > r level, whose X has
+    # rank one and whose factors are one column wide from the peel as from
+    # the constructor; every other level, and every level of (8,)*4, takes
+    # the structured update
     @pytest.mark.parametrize(
         "profile,solves", list(zip(PANEL_PROFILES, [3, 2, 0, 0, 2])) + [((8,) * 4, 0)]
     )
@@ -463,6 +531,9 @@ class TestReconstruct:
         coords, _ = decompose_unitary(haar_unitary(sum(profile), 40), profile)
         assert all(sigma == identity_chart(len(sigma)) for sigma in coords.charts)
         public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
+        widths = [c.size for _, _, c in coords.factors]
+        assert widths == [c.size for _, _, c in public.factors]
+        assert widths == [min(nj - kj, kj) for nj, kj in level_dimensions(profile)]
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         reconstruct_unitary(coords)
         assert len(calls) == solves

@@ -22,7 +22,7 @@ from flagparam import (
     parametrize,
     require_density,
 )
-from flagparam.density import GAP_TOL, SPLIT_FACTOR
+from flagparam.density import GAP_TOL, SPLIT_FACTOR, _clusters
 from flagparam.linalg import frobenius
 from flagparam.sampling import (
     random_block_diagonal,
@@ -309,6 +309,105 @@ class TestDeparametrize:
         b = deparametrize(v @ rho @ v.conj().T).spectrum
         assert a.profile == b.profile
         assert max(abs(x - y) for x, y in zip(a.lambdas, b.lambdas)) <= 1e-10
+
+
+def numpy_clusters(w, gap_tol):
+    """The whole-array clustering rule that the one-pass _clusters replaced, kept as its oracle."""
+    gaps = w[:-1] - w[1:]
+    ambiguous = (gaps > gap_tol) & (gaps < SPLIT_FACTOR * gap_tol)
+    if np.any(ambiguous):
+        g = float(gaps[np.argmax(ambiguous)])
+        raise GapAmbiguityError(
+            f"eigenvalue gap {g:.3e} inside ({gap_tol:.1e}, {SPLIT_FACTOR * gap_tol:.1e}): "
+            "clustering is unstable, pick a different gap_tol"
+        )
+    starts = np.flatnonzero(np.concatenate(([True], gaps > gap_tol)))
+    stops = np.append(starts[1:], w.size)
+    spreads = w[starts] - w[stops - 1]
+    if np.any(spreads > gap_tol):
+        raise GapAmbiguityError(
+            f"merged eigenvalues spread over {float(spreads.max()):.3e} > gap_tol={gap_tol:.1e}: "
+            "clustering is unstable, pick a different gap_tol"
+        )
+    sizes = stops - starts
+    return tuple(sizes.tolist()), tuple((np.add.reduceat(w, starts) / sizes).tolist())
+
+
+# Eigenvalues descend from 1/2 in steps that are whole multiples of 2^-44, so
+# every gap is exact: 2^-20 and 10 * 2^-20 are themselves steps, and each
+# gap_tol gets steps on, just inside and just outside both thresholds.
+UNIT = 2.0**-44
+
+
+def steps_strategy(gap_tol):
+    tol, split = gap_tol / UNIT, SPLIT_FACTOR * gap_tol / UNIT
+    edges = {0, 1}
+    for t in (tol, split):
+        edges |= {int(np.floor(t)) - 1, int(np.floor(t)), int(np.ceil(t)), int(np.ceil(t)) + 1}
+    top = int(np.ceil(split))
+    return st.one_of(
+        st.sampled_from(sorted(e for e in edges if e >= 0)),
+        st.integers(0, max(1, int(tol))),
+        st.integers(0, top),
+        st.integers(top, 4 * top),
+    )
+
+
+@st.composite
+def clustered_spectra(draw):
+    gap_tol = draw(st.sampled_from([GAP_TOL, 2.0**-20, 1e-4, 0.0]))
+    steps = draw(st.lists(steps_strategy(gap_tol), min_size=0, max_size=12))
+    w = 0.5 - UNIT * np.cumsum([0] + steps, dtype=float)
+    return w, gap_tol
+
+
+class TestOnePassClustering:
+    """deparametrize's one-pass clustering against the whole-array rule it replaced."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(clustered_spectra())
+    def test_matches_numpy_rule(self, case):
+        w, gap_tol = case
+        try:
+            expected = numpy_clusters(w, gap_tol)
+        except GapAmbiguityError as exc:
+            with pytest.raises(GapAmbiguityError) as got:
+                _clusters(w, gap_tol)
+            assert str(got.value) == str(exc)
+            return
+        assert _clusters(w, gap_tol) == expected
+
+    T, S = 2**24, 10 * 2**24  # gap_tol = 2^-20 and SPLIT_FACTOR * gap_tol, in steps
+
+    @pytest.mark.parametrize(
+        "steps,outcome",
+        [
+            ([T], (2,)),  # a gap on gap_tol merges
+            ([T + 1], "eigenvalue"),  # just outside it is ambiguous
+            ([S], (1, 1)),  # a gap on SPLIT_FACTOR * gap_tol splits
+            ([S - 1], "eigenvalue"),  # just inside it is ambiguous
+            ([S + 1, S + 1], (1, 1, 1)),
+            ([T // 2, T // 2], (3,)),  # a chain of merges spread over gap_tol
+            ([T // 2, T // 2 + 1], "merged"),  # one step more
+            ([T // 2, T // 2 + 1, S], "merged"),  # in a cluster before the last
+            ([T, T], "merged"),
+            ([S, T, 0], (1, 3)),
+            ([T, T, S - 1], "eigenvalue"),  # the band wins over an earlier spread
+        ],
+    )
+    def test_thresholds(self, steps, outcome):
+        w = 0.5 - UNIT * np.cumsum([0] + steps, dtype=float)
+        tol = 2.0**-20
+        if isinstance(outcome, tuple):
+            assert _clusters(w, tol) == numpy_clusters(w, tol)
+            assert _clusters(w, tol)[0] == outcome
+            return
+        with pytest.raises(GapAmbiguityError) as expected:
+            numpy_clusters(w, tol)
+        with pytest.raises(GapAmbiguityError) as got:
+            _clusters(w, tol)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(outcome)
 
 
 class TestSvdCount:
