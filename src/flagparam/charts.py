@@ -28,6 +28,7 @@ from .linalg import (
     as_square,
     ball_factors,
     block_rotation,
+    exact_ints,
     frobenius,
     hermitian_part,
     identity_plus,
@@ -54,8 +55,16 @@ def validate_chart(sigma, k, n=None):
 
     ``sigma`` is the 1-based image tuple (sigma(1), ..., sigma(n)); its first
     n-k entries and its last k entries must each be strictly increasing.
+    Entries that are not integers are read as by
+    :func:`~flagparam.linalg.exact_ints`, so 1.7 raises rather than being
+    truncated.
     """
-    s = np.array(sigma, dtype=np.int64).ravel()
+    try:
+        s = np.array(sigma).ravel()
+        if s.dtype.kind not in "iu":
+            s = np.array(exact_ints(s.tolist()), dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"chart entries must be integers: {exc}", code="BAD_CHART") from None
     sigma = tuple(s.tolist())
     m = s.size
     if n is not None and m != n:

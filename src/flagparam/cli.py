@@ -42,11 +42,7 @@ def _env_tol(default):
     raw = os.environ.get("FLAGPARAM_TOL")
     if raw is None:
         return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValidationError(f"FLAGPARAM_TOL={raw!r} is not a number", code="BAD_TOL")
-    return require_tol(value, "FLAGPARAM_TOL")
+    return require_tol(raw, "FLAGPARAM_TOL")
 
 
 def _read_doc(args):

@@ -142,7 +142,7 @@ def deparametrize(rho, gap_tol=GAP_TOL):
     w, v = np.linalg.eigh(h)
     _require_psd(w)
     profile, lambdas = _clusters(w[::-1], gap_tol)
-    coords, _ = _peel(v[:, ::-1].copy(), profile)
+    coords, _ = _peel(v[:, ::-1], profile)
     return DensityParameters(Spectrum(profile, lambdas), coords)
 
 

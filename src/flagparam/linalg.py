@@ -60,9 +60,28 @@ def hermiticity_defect(a) -> float:
     return frobenius(a - a.conj().T)
 
 
+def exact_ints(values):
+    """The entries of ``values`` as a tuple of ints, none of them truncated.
+
+    Ints, numpy ints, integral floats and digit strings pass; ``int`` raises
+    ``TypeError``, ``ValueError`` or ``OverflowError`` on what it cannot
+    read, and a non-integral number such as 1.5 raises ``ValueError``.
+    """
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        for v, i in zip(values, ints):
+            if i != v and not isinstance(v, str):
+                raise ValueError(f"{v!r} is not an integer")
+    return ints
+
+
 def require_tol(value, name):
-    """value as a float; raises ``BAD_TOL`` unless it is finite and nonnegative."""
-    tol = float(value)
+    """value as a float; raises ``BAD_TOL`` unless it is a finite, nonnegative number."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a number, got {value!r}", code="BAD_TOL") from None
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"{name} must be finite and >= 0, got {tol!r}", code="BAD_TOL")
     return tol

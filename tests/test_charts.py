@@ -80,6 +80,21 @@ class TestPermutations:
         with pytest.raises(ValidationError):
             validate_chart((1, 1, 2, 3), 2, 4)
 
+    def test_validate_chart_reads_integral_entries(self):
+        # numpy ints, integral floats and digit strings name the same chart
+        for sigma in [(np.int32(2), np.int64(1)), (2.0, 1.0), ("2", "1"), np.array([2, 1])]:
+            assert validate_chart(sigma, 1) == (2, 1)
+            assert all(type(s) is int for s in validate_chart(sigma, 1))
+
+    @pytest.mark.parametrize(
+        "sigma", [(1.7, 2), (2, 1.0000001), (np.nan, 1), (np.inf, 1), ("a", 1), (10**30, 1), (None, 1)]
+    )
+    def test_validate_chart_rejects_non_integral_entries(self, sigma):
+        # (1.7, 2) used to be read as (1, 2), and 10**30 escaped as an OverflowError
+        with pytest.raises(ValidationError) as exc:
+            validate_chart(sigma, 1)
+        assert exc.value.code == "BAD_CHART"
+
     def test_validate_chart_matches_loop_reference(self):
         # every sequence over 1..n of length n (repeats included), every k
         def reference(sigma, k):

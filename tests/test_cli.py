@@ -331,7 +331,7 @@ class TestEnvTolerance:
         "rho-to-param": (["rho-to-param"], np.array([[0.5, 0.4], [0.0, 0.5]])),
     }
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
     @pytest.mark.parametrize("command", sorted(CASES))
     def test_rejects_bad_value(self, command, value):
         args, m = self.CASES[command]

@@ -29,8 +29,8 @@ from flagparam import (
     validate_profile,
 )
 from flagparam import density
-from flagparam.charts import select_frame_chart
-from flagparam.coset import level_dimensions
+from flagparam.charts import _gather_rows, _select_frame_chart, select_frame_chart
+from flagparam.coset import _PANEL_LEVELS, level_dimensions
 from flagparam.linalg import ball_factors, block_diag, frobenius, unitarity_defect
 from flagparam.sampling import (
     random_ball_matrix,
@@ -74,6 +74,24 @@ class TestProfile:
     def test_rejects_wrong_sum(self):
         with pytest.raises(ValidationError):
             validate_profile([2, 1], n=4)
+
+    def test_accepts_integral_entries(self):
+        # numpy ints, integral floats and the CLI's digit strings
+        assert validate_profile([np.int64(2), 1.0, "3", np.float32(1)]) == (2, 1, 3, 1)
+        assert all(type(k) is int for k in validate_profile([np.int64(2), 1.0, "3"]))
+
+    @pytest.mark.parametrize("entry", [1.5, 0.6, "1.5", float("inf"), float("nan"), None])
+    def test_rejects_non_integral_entries(self, entry):
+        # 1.5 used to be truncated to 1, and inf escaped as an OverflowError
+        with pytest.raises(ValidationError) as exc:
+            validate_profile([entry, 1])
+        assert exc.value.code == "PROFILE_VALUES"
+
+    def test_spectrum_rejects_non_integral_profile(self):
+        # read as profile (1, 1), whose weighted sum 0.6 + 0.4 is 1
+        with pytest.raises(ValidationError) as exc:
+            density.Spectrum((1.5, 1), (0.6, 0.4))
+        assert exc.value.code == "PROFILE_VALUES"
 
     def test_level_dimensions(self):
         assert level_dimensions((2, 1, 1)) == [(4, 1), (3, 1)]
@@ -337,7 +355,7 @@ class TestPeelResults:
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_input_unchanged(self, profile):
-        # the peel only reads its input; it neither copies nor writes it
+        # the peel copies its input once, into its buffer, and never writes it
         for g in self.inputs(sum(profile)):
             before = g.tobytes()
             decompose_unitary(g, profile)
@@ -389,6 +407,88 @@ class TestPeelResults:
         assert np.max(np.abs(reconstruct_unitary(coords, h) - g)) <= 1e-14
         public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
         assert np.max(np.abs(reconstruct_unitary(public, h) - g)) <= 1e-14
+
+
+def right_looking_peel(g, profile):
+    """The per-level peel that the panels replaced: each level updates the r x r block that survives.
+
+    Same chart search and factors as the library's peel; every residue,
+    rank-one ones included, is formed from the level's rows.
+    """
+    cur = g
+    xs, charts, blocks = [], [], []
+    for nj, kj in level_dimensions(profile):
+        r = nj - kj
+        sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:], cur[:, :r])
+        rows = _gather_rows(cur, sigma, r)
+        yh = np.concatenate((xv / (1.0 + c), v)).conj().T
+        residue = rows[r:, r:] - v @ ((1.0 + c)[:, None] * (yh @ rows[:, r:]))
+        residue -= v @ (2.0 * (v.conj().T @ residue))
+        blocks.append(residue)
+        cur = rows[:r, :r] - xv @ (yh @ rows[:, :r])
+        xs.append(x)
+        charts.append(sigma)
+    return xs, charts, [cur] + blocks[::-1]
+
+
+def off_chart_at(n, level, rng):
+    """A unitary whose rank-one peel of (1,)*n leaves the identity chart at ``level`` (0 = outermost).
+
+    The outer levels are a random identity-chart section over the profile
+    (m,) + (1,)*level, m = n - level, so the block they leave is the residue
+    u_m, whose last column has bottom entry 0.5 RANK_TOL.
+    """
+    m = n - level
+    outer = random_flag_coordinates((m,) + (1,) * level, rng)
+    u_m = near_boundary_unitary(m - 1, 1, 0.5 * RANK_TOL, rng)
+    h = BlockDiagonalUnitary((u_m,) + (np.eye(1, dtype=complex),) * level)
+    return reconstruct_unitary(outer, h)
+
+
+class TestPanelPeel:
+    """Rank-one levels peel in left-looking panels; the per-level peel is the reference."""
+
+    def check(self, g, profile):
+        coords, h = decompose_unitary(g, profile)
+        xs, charts, blocks = right_looking_peel(g, profile)
+        assert coords.charts == tuple(charts)
+        assert max((np.max(np.abs(a - b)) for a, b in zip(coords.xs, xs, strict=True)), default=0.0) <= 1e-13
+        # a rank-one residue is the phase b / |b|, where the reference rounds its own formula
+        assert max(np.max(np.abs(a - b)) for a, b in zip(h.blocks, blocks, strict=True)) <= 1e-12
+        assert frobenius(reconstruct_unitary(coords, h) - g) <= 1e-10
+        return coords
+
+    # 1, 31, 32, 33, 64 and 99 levels: one, one short of a panel, a full
+    # panel, one more, two full panels, and three full panels and three more
+    @pytest.mark.parametrize("n", [2, 32, 33, 34, 65, 100])
+    def test_rank_one_profiles(self, n):
+        rng = np.random.default_rng(48)
+        for _ in range(3):
+            self.check(haar_unitary(n, rng), (1,) * n)
+
+    # the first, a middle and the last level of the first two panels
+    @pytest.mark.parametrize(
+        "level", [0, 15, _PANEL_LEVELS - 1, _PANEL_LEVELS, _PANEL_LEVELS + 15, 2 * _PANEL_LEVELS - 1]
+    )
+    def test_off_chart_level(self, level):
+        rng = np.random.default_rng(49)
+        n = 2 * _PANEL_LEVELS + 6
+        for _ in range(2):
+            g = off_chart_at(n, level, rng)
+            charts = self.check(g, (1,) * n).charts
+            moved = [j for j, sigma in enumerate(charts) if sigma != identity_chart(len(sigma))]
+            assert moved[0] == level
+
+    # wider levels end a run: after 5 rank-one levels, inside a second
+    # panel, and as the innermost level
+    @pytest.mark.parametrize(
+        "profile", [(1,) * 40 + (2,) + (1,) * 5, (1,) * 5 + (3,) + (1,) * 40, (1, 4) + (1,) * 35]
+    )
+    def test_wide_levels_interrupt(self, profile):
+        rng = np.random.default_rng(50)
+        n = sum(profile)
+        for g in [haar_unitary(n, rng) for _ in range(3)] + [sparse_unitary(n, rng)]:
+            self.check(g, profile)
 
 
 class TestReflectorForm:
@@ -512,14 +612,14 @@ class TestReconstruct:
             expected = reconstruct_from_x(public, identity)
             assert np.max(np.abs(reconstruct_unitary(public) - expected)) <= 1e-14
 
-    # (1,)*40: 39 rank-one levels fill panels of 16, 16 and 7; (1,)*20 +
-    # (8,): 19 of them fill two; (1, 3, 1, 1, 2, 1, 1): two rank-one runs
+    # (1,)*40: 39 rank-one levels fill panels of 32 and 7; (1,)*20 +
+    # (8,): 19 of them fill one; (1, 3, 1, 1, 2, 1, 1): two rank-one runs
     # share a panel each, the first led by the k = 3 > r level, whose X has
     # rank one and whose factors are one column wide from the peel as from
     # the constructor; every other level, and every level of (8,)*4, takes
     # the structured update
     @pytest.mark.parametrize(
-        "profile,solves", list(zip(PANEL_PROFILES, [3, 2, 0, 0, 2])) + [((8,) * 4, 0)]
+        "profile,solves", list(zip(PANEL_PROFILES, [2, 1, 0, 0, 2])) + [((8,) * 4, 0)]
     )
     def test_rank_one_levels_share_panels(self, profile, solves, monkeypatch):
         solve, calls = np.linalg.solve, []

@@ -290,7 +290,8 @@ class TestDeparametrize:
         params = deparametrize(diag_density(lam, lam, mu, mu))
         assert params.spectrum.profile == (4,)
 
-    @pytest.mark.parametrize("gap_tol", [-1.0, np.nan, np.inf])
+    # None, a string and a huge int used to escape as TypeError, ValueError and OverflowError
+    @pytest.mark.parametrize("gap_tol", [-1.0, np.nan, np.inf, None, "abc", 10**400])
     def test_bad_gap_tol(self, gap_tol):
         # -1 used to return lambdas (0.5, 0.25, 0.25, 0.0), which are not strictly decreasing
         with pytest.raises(ValidationError) as exc:
