@@ -16,7 +16,8 @@ machine-readable ``{"error": {"code", "message"}}`` object; its class (see
 ``param-to-rho`` needs only strictly decreasing eigenvalues.  The
 environment variable ``FLAGPARAM_TOL`` overrides the default input
 validation tolerances (unitarity, hermiticity, trace); it must be finite
-and >= 0.
+and >= 0.  ``sample`` and ``verify`` take ``--seed`` >= 0, and ``sample``
+takes n <= ``iojson.MAX_N``.
 """
 
 from __future__ import annotations
@@ -101,8 +102,10 @@ def cmd_decompose_unitary(args):
 
 
 def cmd_sample(args):
-    if args.n < 1:
-        raise ValidationError("n must be >= 1", code="BAD_DIMENSION")
+    if not 1 <= args.n <= iojson.MAX_N:
+        raise ValidationError(
+            f"n = {args.n} is outside 1..MAX_N = {iojson.MAX_N}", code="BAD_DIMENSION"
+        )
     profile = validate_profile(args.profile.split(",") if args.profile else (1,) * args.n, n=args.n)
     params = random_density_parameters(profile, np.random.default_rng(args.seed))
     doc = {
@@ -178,6 +181,9 @@ def _emit_error(exc, args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        # numpy's generators take only nonnegative seeds
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}", code="BAD_SEED")
         return args.func(args)
     except FlagparamError as exc:
         _emit_error(exc, args)

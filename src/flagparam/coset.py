@@ -287,10 +287,7 @@ def _peel(g, ks, residues=False):
                     residue = cur[r:, r:] - v @ ((1.0 + c)[:, None] * (yh @ cur[:, r:]))
                     residue -= v @ (2.0 * (v.conj().T @ residue))
                     blocks.append(residue)
-                t = yh @ cur[:, :r]
-                # matmul of an r x 1 by a 1 x r array takes 1.7x the time of the
-                # broadcast product at r = 63 (2-core Xeon)
-                cur[:r, :r] -= xv * t if c.size == 1 else xv @ t
+                cur[:r, :r] -= xv @ (yh @ cur[:, :r])
         xs.append(x)
         charts.append(sigma)
         factors.append((xv, v, c))
@@ -318,13 +315,13 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
     original unitary.  The sections are accumulated backward, innermost level
     first, and each step touches only the leading n_j x n_j block, as
     LAPACK's ZUNGQR does, with the level's (XV, V, c) from
-    ``coords.factors``, so no SVD is taken.  Runs of rank-one levels are
-    applied as compact-WY panels (Schreiber & Van Loan 1989) of the
-    reflectors of :func:`_peel`, one column per level (see
-    :func:`_apply_panel`); every other level is applied alone as two
-    rank-p row updates.  Only a panel's outermost level may leave the
-    identity chart; its row scatter follows the panel.  ``h`` (identity
-    when omitted) is applied block by block.
+    ``coords.factors``, so no SVD is taken.  Runs of rank-one (k = 1)
+    levels are applied as compact-WY panels (Schreiber & Van Loan 1989) of
+    the reflectors of :func:`_peel`, one column per level (see
+    :func:`_apply_panel`); every level with k > 1 is applied alone as two
+    rank-p row updates, p = min(r, k).  Only a panel's outermost level may
+    leave the identity chart; its row scatter follows the panel.  ``h``
+    (identity when omitted) is applied block by block.
     """
     ks = coords.profile
     if h is not None and h.profile != ks:
@@ -356,20 +353,21 @@ def _panels(levels):
     """Group levels, innermost first, into the panels of :func:`reconstruct_unitary`.
 
     Yields each panel, its levels innermost first, with whether its
-    outermost level leaves the identity chart.  A wider level, or a rank-one
-    level that would overflow the panel, starts a new panel; a wider level,
-    or one outside the identity chart, ends its panel.
+    outermost level leaves the identity chart.  A panel of more than one
+    level holds k = 1 levels only, as the peel's panels do.  A level with
+    k > 1, or a k = 1 level that would overflow the panel, starts a new
+    panel; a level with k > 1, or one outside the identity chart, ends its
+    panel.
     """
     panel = []
     for level in levels:
-        (nj, kj), sigma, (_, _, c) = level
-        rank_one = c.size == 1
-        if panel and not (rank_one and len(panel) < _PANEL_LEVELS):
+        (nj, kj), sigma, _ = level
+        if panel and not (kj == 1 and len(panel) < _PANEL_LEVELS):
             yield panel, False
             panel = []
         panel.append(level)
         moved = not _is_identity(sigma, nj - kj)
-        if moved or not rank_one:
+        if moved or kj > 1:
             yield panel, moved
             panel = []
     if panel:
@@ -386,25 +384,25 @@ def _apply_level(blk, xv, v, c):
 
 
 def _apply_panel(blk, panel):
-    """blk <- W_outer ... W_inner blk for rank-one levels listed innermost first, in place.
+    """blk <- W_outer ... W_inner blk for k = 1 levels listed innermost first, in place.
 
     Each W = (I - (1 + c) y y*)(I - 2 V^ V^*), y = [XV / (1 + c); V], V^ = [0; V]
-    (see :func:`_peel`).  The V^ tile the rows from the innermost r down, still
-    the identity, so every I - 2 V V* is written there at once; the reflectors
-    act as I - Y T Y*, Y outermost level first, with T from the UT transform
+    (see :func:`_peel`), with V a scalar of modulus 1 in row n_j - 1.  Those
+    rows run from the innermost r down and still hold the identity, so each
+    level's flip negates its row's diagonal entry; the reflectors act as
+    I - Y T Y*, Y outermost level first, with T from the UT transform
     (Joffrain et al. 2006): T^-1 = diag(1 / (1 + c)) + strict_upper(Y* Y).
     """
-    (nj, kj), _, _ = panel[0]
-    n, r0, panel = panel[-1][0][0], nj - kj, panel[::-1]
-    y = np.zeros((n, len(panel)), dtype=complex)
-    v_hat = np.zeros((n - r0, len(panel)), dtype=complex)
-    for i, ((nj, kj), _, (xv, v, _)) in enumerate(panel):
-        y[: nj - kj, i] = xv[:, 0]
-        v_hat[nj - kj - r0 : nj - r0, i] = v[:, 0]
-    d = 1.0 / (1.0 + np.concatenate([c for _, _, (_, _, c) in panel]))
+    r0, panel = panel[0][0][0] - 1, panel[::-1]
+    y = np.zeros((blk.shape[0], len(panel)), dtype=complex)
+    for i, ((nj, _), _, (xv, _, _)) in enumerate(panel):
+        y[: nj - 1, i] = xv[:, 0]
+    _, vs, cs = zip(*(factors for _, _, factors in panel))
+    d = 1.0 / (1.0 + np.concatenate(cs))
     y *= d
-    y[r0:] += v_hat
-    blk[r0:, r0:] -= 2.0 * (v_hat @ v_hat.conj().T)
+    # row n_j - 1 of column i holds level i's V: the reversed bottom rows' diagonal
+    np.fill_diagonal(y[r0:][::-1], np.concatenate(vs, axis=None))
+    np.fill_diagonal(blk[r0:, r0:], -1.0)
     tinv = np.triu(y.conj().T @ y, 1)
     tinv.flat[:: len(panel) + 1] = d
     blk -= y @ np.linalg.solve(tinv, y.conj().T @ blk)

@@ -435,6 +435,12 @@ class TestFrameChartSelection:
         with pytest.raises(NoChartError):
             select_frame_chart(np.zeros((4, 2), dtype=complex))
 
+    def test_no_chart_for_a_line(self):
+        # every entry at or below RANK_TOL: no row can be designated
+        f = np.array([[RANK_TOL], [-RANK_TOL], [0.5j * RANK_TOL], [0.0]], dtype=complex)
+        with pytest.raises(NoChartError):
+            select_frame_chart(f)
+
     def test_frame_choice_independent(self):
         rng = np.random.default_rng(42)
         for _ in range(50):

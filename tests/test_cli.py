@@ -407,6 +407,39 @@ class TestSample:
         assert len(error["message"]) < 200
 
 
+class TestSeedAndSizeChecks:
+    """Run in process: each case is refused before numpy sees the value."""
+
+    @staticmethod
+    def error_of(argv, capsys):
+        from flagparam import cli
+
+        status = cli.main(argv)
+        return status, json.loads(capsys.readouterr().out)["error"]["code"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sample", "4", "--seed", "-1"], ["verify", "--suite", "jarlskog", "--seed", "-1"]],
+        ids=["sample", "verify"],
+    )
+    def test_negative_seed(self, argv, capsys):
+        assert self.error_of(argv, capsys) == (2, "BAD_SEED")
+
+    @pytest.mark.parametrize("one_block", [False, True], ids=["default", "one_block"])
+    def test_sample_above_max_n(self, one_block, capsys, monkeypatch):
+        # refused before the profile tuple is built or anything is drawn
+        from flagparam import cli, iojson
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sample went on above MAX_N")
+
+        monkeypatch.setattr(cli, "validate_profile", no_draw)
+        monkeypatch.setattr(cli, "random_density_parameters", no_draw)
+        n = str(iojson.MAX_N + 1)
+        argv = ["sample", n] + (["--profile", n] if one_block else [])
+        assert self.error_of(argv, capsys) == (2, "BAD_DIMENSION")
+
+
 class TestExitCodeWiring:
     """Codes 1 and 3 cannot be reached through valid inputs on a correct
     build, so the dispatch is exercised in-process.  Each error class

@@ -28,7 +28,7 @@ from flagparam import (
     section_from_projective_factors,
     validate_profile,
 )
-from flagparam import density
+from flagparam import coset, density
 from flagparam.charts import _gather_rows, _select_frame_chart, select_frame_chart
 from flagparam.coset import _PANEL_LEVELS, level_dimensions
 from flagparam.linalg import ball_factors, block_diag, frobenius, unitarity_defect
@@ -42,7 +42,8 @@ N4_PROFILES = [(1, 1, 1, 1), (2, 2), (3, 1), (2, 1, 1)]
 # the rebuild groups runs of rank-one levels into panels: these profiles give
 # several full panels, a wider outermost level after a run of rank-one ones,
 # rank-one levels between wider ones, wider levels only, and runs of rank-one
-# levels on either side of a wider one, the innermost of which has k = 3 > r
+# levels on either side of a wider one, and an innermost level with
+# k = 3 > r, whose factors are one column wide but which no panel takes
 PANEL_PROFILES = [
     (1,) * 40,
     (1,) * 20 + (8,),
@@ -613,11 +614,11 @@ class TestReconstruct:
             assert np.max(np.abs(reconstruct_unitary(public) - expected)) <= 1e-14
 
     # (1,)*40: 39 rank-one levels fill panels of 32 and 7; (1,)*20 +
-    # (8,): 19 of them fill one; (1, 3, 1, 1, 2, 1, 1): two rank-one runs
-    # share a panel each, the first led by the k = 3 > r level, whose X has
-    # rank one and whose factors are one column wide from the peel as from
-    # the constructor; every other level, and every level of (8,)*4, takes
-    # the structured update
+    # (8,): 19 of them fill one; (1, 3, 1, 1, 2, 1, 1): its two runs of two
+    # k = 1 levels share a panel each, and the innermost k = 3 > r level,
+    # whose X has rank one and whose factors are one column wide from the
+    # peel as from the constructor, stays alone; every other level, and
+    # every level of (8,)*4, takes the structured update
     @pytest.mark.parametrize(
         "profile,solves", list(zip(PANEL_PROFILES, [2, 1, 0, 0, 2])) + [((8,) * 4, 0)]
     )
@@ -639,6 +640,27 @@ class TestReconstruct:
         assert len(calls) == solves
         reconstruct_unitary(public)
         assert len(calls) == 2 * solves
+
+    @pytest.mark.parametrize("profile", PANEL_PROFILES + [(1, 4) + (1,) * 35])
+    def test_panels_take_only_k1_levels(self, profile, monkeypatch):
+        # a level with k > 1 stays out of the panels even when its factors
+        # are one column wide, as for an innermost level with r = 1 < k
+        apply_panel, seen = coset._apply_panel, []
+
+        def spy(blk, panel):
+            seen.extend(kj for (_, kj), _, _ in panel)
+            return apply_panel(blk, panel)
+
+        monkeypatch.setattr(coset, "_apply_panel", spy)
+        n, rng = sum(profile), np.random.default_rng(41)
+        for g in [haar_unitary(n, rng), sparse_unitary(n, rng)]:
+            coords, h = decompose_unitary(g, profile)
+            public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
+            for c in (coords, public):
+                assert np.max(np.abs(reconstruct_unitary(c, h) - g)) <= 1e-12
+        assert set(seen) <= {1}
+        # a panel needs two adjacent k = 1 levels
+        assert bool(seen) == any(a == b == 1 for a, b in zip(profile[1:], profile[2:]))
 
 
 class TestFlagSection:
