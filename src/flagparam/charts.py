@@ -30,6 +30,9 @@ from .linalg import (
     block_rotation,
     exact_ints,
     frobenius,
+    gram_eigh,
+    gram_function,
+    hermitian_mean,
     hermitian_part,
     identity_plus,
     open_ball_factors,
@@ -164,8 +167,7 @@ def projector_of_frame(f):
     the subspace.
     """
     f = as_matrix(f)
-    p = f @ f.conj().T
-    return (p + p.conj().T) / 2
+    return hermitian_mean(f @ f.conj().T)
 
 
 def projector_of_unitary(g, k):
@@ -179,6 +181,15 @@ def frame_of_projector(p):
     Columns are the eigenvectors of the top (unit) eigenvalues in descending
     eigenvalue order; deterministic for a given input.
     """
+    return _projector_frames(p)[0]
+
+
+def _projector_frames(p):
+    """(F, L): the frame of :func:`frame_of_projector` and the other n - k eigenvectors of the same eigh.
+
+    L is an orthonormal basis of the complement of span F, so [L F] is
+    unitary: the ``left`` that :func:`_chart_factors` needs when k > r.
+    """
     h = hermitian_part(p, PROJECTOR_TOL, code="NOT_PROJECTOR")
     if frobenius(h @ h - h) > PROJECTOR_TOL:
         raise ValidationError("matrix is not idempotent", code="NOT_PROJECTOR")
@@ -190,7 +201,19 @@ def frame_of_projector(p):
     w, v = np.linalg.eigh(h)
     if w[n - k] < 0.5:
         raise ValidationError("projector spectrum is not {0, 1}", code="NOT_PROJECTOR")
-    return v[:, ::-1][:, :k]
+    v = v[:, ::-1]
+    return v[:, :k], v[:, k:]
+
+
+def _complement(f):
+    """Orthonormal basis of the complement of span f, from a complete QR; None unless 0 < r < k.
+
+    Only :func:`_chart_factors` reads it, and only for k > r.
+    """
+    n, k = f.shape
+    if not 0 < n - k < k:
+        return None
+    return np.linalg.qr(f, mode="complete")[0][:, k:]
 
 
 def frame_chart_factors(f, sigma):
@@ -207,11 +230,13 @@ def frame_chart_factors(f, sigma):
     X = XV = F_top conj(b) / |b|.  Returns (X, XV, V, c).  Raises
     :class:`OutOfChartError` when B is singular at ``RANK_TOL``, i.e. the
     subspace lies outside this chart.  Accepting the chart is the ball
-    check: ||X||^2 = 1 - c_min^2 < 1 - RANK_TOL^2.
+    check: ||X||^2 = 1 - c_min^2 < 1 - RANK_TOL^2.  When k > r the
+    factors are the thin ones of :func:`_chart_factors`, r columns wide,
+    with a basis of the complement of span f from a complete QR of f.
     """
     f = as_matrix(f)
     n, k = f.shape
-    return _chart_factors(f, validate_chart(sigma, k, n))
+    return _chart_factors(f, validate_chart(sigma, k, n), _complement(f))
 
 
 # V of every k = 1 chart block, shared read-only: a fresh 1 x 1 array costs
@@ -224,7 +249,8 @@ def _chart_factors(f, sigma, left=None, c=None):
     """:func:`frame_chart_factors` for a chart already known to be valid.
 
     ``left``, the other r = n - k columns of a unitary ending in f, makes
-    the factors p = min(r, k) columns wide when k > r, as X has rank <= r:
+    the factors p = min(r, k) columns wide when k > r, as X has rank <= r
+    (without it, as for k = n, the full k x k SVD is taken):
     its rows L in chart order have B B* = I - L L*, so with Z from a QR of
     the bottom ones the SVD B* Z = W' S Q* gives the cosines below 1,
     V = Z Q and XV = F_top W', each to absolute accuracy at cosines near
@@ -264,7 +290,14 @@ def _require_in_chart(c, sigma):
 
 def chart_coordinates(p, sigma):
     """Ball coordinate of a subspace, given by its projector, in chart sigma."""
-    return frame_chart_factors(frame_of_projector(p), sigma)[0]
+    return _projector_chart_factors(p, sigma)[0]
+
+
+def _projector_chart_factors(p, sigma):
+    """:func:`frame_chart_factors` of a projector's frame, with the complement from the same eigh."""
+    f, left = _projector_frames(p)
+    n, k = f.shape
+    return _chart_factors(f, validate_chart(sigma, k, n), left)
 
 
 def chart_point(x, sigma):
@@ -306,9 +339,12 @@ def select_frame_chart(f):
     SVD in all and no row gather.  Without dead ends the search is one pass
     over the rows.  The completions it builds are valid charts by
     construction and are not re-validated.  A line (k = 1) takes no
-    search and no SVD (see :func:`_line_chart`).
+    search and no SVD (see :func:`_line_chart`).  A frame with k > r first
+    takes a complete QR for a basis of its complement, so that each chart
+    block costs a thin SVD (see :func:`_chart_factors`).
     """
-    return _select_frame_chart(as_matrix(f))
+    f = as_matrix(f)
+    return _select_frame_chart(f, _complement(f))
 
 
 _NO_CHART = f"no chart contains the given point at RANK_TOL={RANK_TOL:.1e}"
@@ -385,7 +421,7 @@ def select_chart(p):
     Tyrtyshnikov 2001), so this needs a malformed projector whenever that
     bound exceeds ``RANK_TOL``.
     """
-    return select_frame_chart(frame_of_projector(p))[0]
+    return _select_frame_chart(*_projector_frames(p))[0]
 
 
 def local_section(p, sigma):
@@ -394,13 +430,13 @@ def local_section(p, sigma):
     Satisfies the section law: the span of its last k columns is the input
     subspace.
     """
-    factors = frame_chart_factors(frame_of_projector(p), sigma)
+    factors = _projector_chart_factors(p, sigma)
     return _scatter_rows(_section_of_factors(*factors), sigma)
 
 
 def global_section(p):
     """Canonical unitary over a subspace, using the first valid chart."""
-    sigma, factors = select_frame_chart(frame_of_projector(p))
+    sigma, factors = _select_frame_chart(*_projector_frames(p))
     return _scatter_rows(_section_of_factors(*factors), sigma)
 
 
@@ -418,7 +454,9 @@ def ball_to_affine(x):
 def affine_to_ball(z):
     """Open-ball coordinate X = Z (Z*Z + I)^(-1/2) of an affine chart matrix.
 
-    With Z = U diag(t) V*, X = U diag(t / (1 + t^2)^1/2) V*.
+    With Z*Z = V diag(t^2) V* from one eigh of the Gram matrix (ZZ* for a
+    wide Z), X = Z V diag(1 / (1 + t^2)^1/2) V*.
     """
-    u, t, vh = np.linalg.svd(as_matrix(z), full_matrices=False)
-    return (u * (t / np.hypot(1.0, t))) @ vh
+    z = as_matrix(z)
+    t, q = gram_eigh(z)
+    return gram_function(z, q, 1.0 / np.hypot(1.0, t))

@@ -27,18 +27,19 @@ from .linalg import (
     block_diag,
     exact_ints,
     frobenius,
+    gram_eighs,
     lower_triangularize,
     open_ball_factors,
     require_unitary,
 )
 from .charts import (
     _UNIT,
+    _chart_factors,
     _is_identity,
     _line_chart,
+    _projector_frames,
     _section_of_factors,
     _select_frame_chart,
-    frame_chart_factors,
-    frame_of_projector,
     identity_chart,
     validate_chart,
 )
@@ -92,10 +93,13 @@ class FlagCoordinates:
     back, and for reproducible serialization).  ``factors`` holds each
     level's (XV, V, c) section factors, min(r, k) columns wide (see
     :func:`~flagparam.linalg.ball_factors`): from the chart block when
-    :func:`decompose_unitary` built the coordinates, otherwise from one thin
-    SVD of X, which also checks ||X|| < 1 (see
-    :func:`~flagparam.linalg.open_ball_factors`).
-    :func:`reconstruct_unitary` applies them without an SVD.
+    :func:`decompose_unitary` built the coordinates, otherwise from the
+    eigendecomposition of X*X, which also checks ||X|| < 1 (see
+    :func:`~flagparam.linalg.open_ball_factors`).  The Gram matrices of all
+    levels of one width k <= r go through a single batched ``eigh``, so
+    profile (8,) x 16 takes one LAPACK call for its 15 levels; a wide level
+    (k > r) takes a thin SVD of its own.  :func:`reconstruct_unitary`
+    applies the factors without a further decomposition.
     """
 
     profile: tuple
@@ -115,19 +119,24 @@ class FlagCoordinates:
                 code="PROFILE_SUM",
             )
         charts = tuple(validate_chart(sigma, kj, nj) for (nj, kj), sigma in zip(dims, charts))
-        factors = []
-        for (nj, kj), x in zip(dims, xs):
+        tall = {}  # width k -> the levels with k <= r, which share one batched eigh
+        for i, ((nj, kj), x) in enumerate(zip(dims, xs)):
             if x.shape != (nj - kj, kj):
                 raise ValidationError(
                     f"level on G({kj}, C^{nj}) needs a {nj - kj}x{kj} coordinate, "
                     f"got {x.shape}",
                     code="BAD_SHAPE",
                 )
-            factors.append(open_ball_factors(x))
+            if kj <= nj - kj:
+                tall.setdefault(kj, []).append(i)
+        eigs = {}
+        for levels in tall.values():
+            eigs.update(zip(levels, zip(*gram_eighs([xs[i] for i in levels]))))
+        factors = tuple(open_ball_factors(x, eigs.get(i)) for i, x in enumerate(xs))
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "charts", charts)
-        object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "factors", factors)
 
     @property
     def n(self):
@@ -431,11 +440,11 @@ def section_from_projective_factors(p):
     first, and the product of the embedded factors: a unitary whose last k
     columns span the input plane.
     """
-    f = frame_of_projector(p)
+    f, left = _projector_frames(p)
     n, k = f.shape
     if k == n:
         raise ValidationError("the full plane has no chart coordinate", code="BAD_DIMENSION")
-    x0_factors = frame_chart_factors(f, identity_chart(n))  # raises OutOfChartError
+    x0_factors = _chart_factors(f, identity_chart(n), left)  # raises OutOfChartError
     g = _section_of_factors(*x0_factors)
     u_tri, _ = lower_triangularize(g[n - k :, n - k :])
     g[:, n - k :] = g[:, n - k :] @ u_tri

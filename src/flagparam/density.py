@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapAmbiguityError, ValidationError
-from .linalg import EPS_HERMITIAN, PSD_TOL, hermitian_part, require_tol
+from .linalg import EPS_HERMITIAN, PSD_TOL, hermitian_mean, hermitian_part, require_tol
 from .coset import FlagCoordinates, _peel, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
@@ -98,8 +98,7 @@ def parametrize(params: DensityParameters):
     such factors commute with the degenerate diagonal.
     """
     u = flag_section(params.coords)
-    rho = (u * params.spectrum.diagonal()) @ u.conj().T
-    return (rho + rho.conj().T) / 2
+    return hermitian_mean((u * params.spectrum.diagonal()) @ u.conj().T)
 
 
 def _hermitian_unit_trace(rho, herm_tol, trace_tol):

@@ -74,10 +74,10 @@ def matrix_from_json(doc) -> np.ndarray:
             f"re/im shapes {re.shape}/{im.shape} do not match {rows}x{cols}",
             code="BAD_SHAPE",
         )
-    m = re + 1j * im
-    if not np.all(np.isfinite(m)):
+    # checked before combining: 1j * inf is nan + inf j, with a RuntimeWarning on the way
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValidationError("matrix entries must be finite", code="NOT_FINITE")
-    return m
+    return re + 1j * im
 
 
 def coords_to_json(coords: FlagCoordinates) -> dict:

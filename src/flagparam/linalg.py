@@ -4,9 +4,17 @@ Everything here works on plain ``numpy`` arrays (``complex128``) and is a
 pure function of its inputs: no global state, safe for concurrent use.
 The module-level constants are the package's tolerances; only the reference
 ``hermitian_sqrt`` takes its own as keyword arguments.
+
+Matrix functions of a rectangular X (the square roots of a ball
+coordinate, the blocks of a generator's exponential) are scalar functions
+of the eigenvalues of its p x p Gram matrix, p = min(r, k), from one
+``eigh`` (see :func:`gram_eighs`); only the factors of a wide ball
+coordinate take a thin SVD.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,7 +53,10 @@ def as_square(a):
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(a))
+    # entries above about 1e154 overflow the sum of squares to inf, which
+    # every caller compares with a tolerance; that is no cause for a warning
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(a))
 
 
 def unitarity_defect(g) -> float:
@@ -97,14 +108,36 @@ def require_unitary(g):
     return g
 
 
+def adjoint(a):
+    """a* as a new C-ordered array: one copy of the transpose, then a conjugation in place.
+
+    An expression such as ``a + a.conj().T`` walks its transposed operand
+    column by column; this reads the transpose once and hands the sum two
+    row-ordered operands.
+    """
+    ah = a.T.copy()
+    np.conjugate(ah, out=ah)
+    return ah
+
+
+def hermitian_mean(a):
+    """(a + a*) / 2 of a square matrix, as a new array (see :func:`adjoint`)."""
+    h = adjoint(a)
+    h += a
+    h *= 0.5
+    return h
+
+
 def hermitian_part(a, tol=EPS_HERMITIAN, code="NOT_HERMITIAN"):
     """(a + a*) / 2 of a square matrix, after checking ||a - a*||_F <= tol; a* is formed once."""
     a = as_square(a)
-    ah = a.conj().T
-    defect = frobenius(a - ah)
+    h = adjoint(a)
+    defect = frobenius(a - h)
     if defect > tol:
         raise ValidationError(f"matrix is not Hermitian: defect {defect:.3e} > {tol:.3e}", code=code)
-    return (a + ah) / 2
+    h += a
+    h *= 0.5
+    return h
 
 
 def hermitian_sqrt(a, psd_tol=PSD_TOL, herm_tol=EPS_HERMITIAN):
@@ -118,57 +151,120 @@ def hermitian_sqrt(a, psd_tol=PSD_TOL, herm_tol=EPS_HERMITIAN):
     w, v = np.linalg.eigh(hermitian_part(a, herm_tol))
     if w.size and w[0] < -psd_tol:
         raise NotPSDError(f"eigenvalue {w[0]:.6e} below -psd_tol={psd_tol:.1e}")
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (s + s.conj().T) / 2
+    return hermitian_mean((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 
 def ball_factors(x):
     """Factored square roots of a closed-ball coordinate X (r x k, X*X <= I).
 
-    From the thin SVD X = U S V*, returns (XV, V, c) with V the k x p right
-    singular vectors (p = min(r, k)) and c = ((1 - S)(1 + S))^1/2 the
-    cosines, so that X = XV V* and
+    With X*X = V S^2 V* (for k <= r, from one eigh of the k x k Gram matrix,
+    see :func:`gram_eighs`) or the thin SVD X = U S V* (for a wide X, whose
+    k x r V would otherwise come from X*U S^-1), returns (XV, V, c) with V
+    the k x p right singular vectors (p = min(r, k)) and
+    c = ((1 - S)(1 + S))^1/2 the cosines, so that X = XV V* and
 
         (I - X X*)^1/2 = I + XV diag(-1 / (1 + c)) (XV)*,
         (I - X* X)^1/2 = I + V diag(c - 1) V*.
 
     Both are rank-p corrections of the identity; neither c nor -1/(1 + c)
-    cancels anywhere in the closed ball.  Raises :class:`NotPSDError` when
-    X*X has an eigenvalue above 1 + ``PSD_TOL``; singular values up to that
-    bound count as 1.
+    cancels anywhere in the closed ball, and both are smooth functions of
+    the Gram eigenvalues S^2, so loose eigenvectors within a cluster of
+    tiny singular values never reach a result.  For a 1 x 1 X the singular
+    value is |x| exactly (the square root of a rounded square is exact), so
+    c keeps its relative accuracy up to the boundary.  Raises
+    :class:`NotPSDError` when X*X has an eigenvalue above 1 + ``PSD_TOL``;
+    singular values up to that bound count as 1.
     """
-    top, factors = _thin_svd_factors(x)
-    if top**2 > 1.0 + PSD_TOL:
-        raise NotPSDError(f"X*X has eigenvalue {top**2:.6e} above 1")
+    top, factors = _thin_factors(x)
+    if not top * top <= 1.0 + PSD_TOL:
+        raise NotPSDError(f"X*X has eigenvalue {top * top:.6e} above 1")
     return factors
 
 
-def open_ball_factors(x):
-    """The factors of :func:`ball_factors` for an open-ball coordinate, from the same SVD.
+def open_ball_factors(x, eig=None):
+    """The factors of :func:`ball_factors` for an open-ball coordinate, from the same decomposition.
 
-    Raises :class:`ValidationError` (code ``BALL_NORM``) when ||X|| >= 1.
+    ``eig``, the (S, V) of a tall X from :func:`gram_eighs`, may come
+    already computed.  Raises :class:`ValidationError` (code ``BALL_NORM``)
+    when ||X|| >= 1.
     """
-    top, factors = _thin_svd_factors(x)
-    if top >= 1.0:
+    top, factors = _thin_factors(x, eig)
+    if not top < 1.0:
         raise ValidationError(
             f"ball coordinate has spectral norm {top:.6f} >= 1", code="BALL_NORM"
         )
     return factors
 
 
-def _thin_svd_factors(x):
-    """(||X||, (XV, V, c)) from one thin SVD, with singular values capped at 1."""
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    top = float(s[0]) if s.size else 0.0
+def _thin_factors(x, eig=None):
+    """(||X||, (XV, V, c)) with singular values capped at 1: from the Gram eigh, or a thin SVD when X is wide."""
+    r, k = x.shape
+    if k > r:
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+        top = float(s[0]) if s.size else 0.0
+        s = np.minimum(s, 1.0)
+        return top, (u * s, vh.conj().T, np.sqrt((1.0 - s) * (1.0 + s)))
+    s, v = gram_eigh(x) if eig is None else eig
+    top = float(s[-1]) if s.size else 0.0
     s = np.minimum(s, 1.0)
-    return top, (u * s, vh.conj().T, np.sqrt((1.0 - s) * (1.0 + s)))
+    return top, (x @ v, v, np.sqrt((1.0 - s) * (1.0 + s)))
+
+
+def gram(x):
+    """The smaller Gram matrix of an r x k matrix: X*X when k <= r, XX* when X is wide."""
+    xh = x.conj().T
+    return xh @ x if x.shape[1] <= x.shape[0] else x @ xh
+
+
+def gram_eighs(xs):
+    """Singular values, ascending, and Gram eigenvectors of matrices whose Gram matrices share a size.
+
+    One batched ``eigh`` of the stacked p x p matrices :func:`gram`:
+    returns S (m x p) and Q (m x p x p) with X*X = Q diag(S^2) Q* for a
+    tall or square X and XX* = Q diag(S^2) Q* for a wide one.  numpy runs
+    each stacked matrix through the same LAPACK call as a single one, so a
+    batch agrees bit for bit with its members taken alone.  A Gram matrix
+    that overflows (||X|| above about 1e154) is formed, for the whole
+    batch, from each X divided by a power of two, and the singular values
+    are scaled back; raises
+    :class:`ValidationError` (code ``NOT_FINITE``) when the spectral norm
+    itself overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.stack([gram(x) for x in xs])
+    if np.isfinite(g).all():
+        w, q = np.linalg.eigh(g)
+        return np.sqrt(np.maximum(w, 0.0)), q
+    # ||X|| above about 1e154: factor X / m with m a power of two near its largest part
+    top = [max(np.abs(x.real).max(), np.abs(x.imag).max()) for x in xs]
+    m = np.array([2.0 ** (math.frexp(float(t))[1] - 1) for t in top])
+    w, q = np.linalg.eigh(np.stack([gram(x / mi) for x, mi in zip(xs, m)]))
+    with np.errstate(over="ignore"):
+        s = np.sqrt(np.maximum(w, 0.0)) * m[:, None]
+    if not np.isfinite(s).all():
+        raise ValidationError("the spectral norm of a matrix overflows", code="NOT_FINITE")
+    return s, q
+
+
+def gram_eigh(x):
+    """(S, Q) of :func:`gram_eighs` for one matrix."""
+    (s,), (q,) = gram_eighs((x,))
+    return s, q
+
+
+def gram_function(x, q, d):
+    """X Q diag(d) Q* for a tall or square X, Q diag(d) Q* X for a wide one, with Q from :func:`gram_eigh`.
+
+    A function f(S) = S g(S^2) of the singular values, such as sin S, is
+    X g(X*X) or g(XX*) X; ``d`` holds g(S^2).
+    """
+    f = (q * d) @ q.conj().T
+    return x @ f if x.shape[1] <= x.shape[0] else f @ x
 
 
 def identity_plus(w, d):
-    """I + W diag(d) W*, Hermitian-symmetrized in place."""
-    m = (w * d) @ w.conj().T
-    m += m.conj().T
-    m *= 0.5
+    """I + W diag(d) W*, Hermitian-symmetrized (see :func:`hermitian_mean`)."""
+    m = hermitian_mean((w * d) @ w.conj().T)
     m.flat[:: w.shape[0] + 1] += 1.0
     return m
 
@@ -202,8 +298,7 @@ def polar_unitary(y):
     if s.size and s[-1] <= RANK_TOL:
         raise SingularInputError(f"smallest singular value {s[-1]:.3e} <= RANK_TOL={RANK_TOL:.1e}")
     u = v @ wh
-    p = (wh.conj().T * s) @ wh
-    return u, (p + p.conj().T) / 2
+    return u, hermitian_mean((wh.conj().T * s) @ wh)
 
 
 def lower_triangularize(y):

@@ -516,6 +516,27 @@ class TestRankOneChartFactors:
             frame_chart_factors(f, identity_chart(3))
 
 
+class TestWideFrameFactors:
+    """A frame with k > r gets factors r columns wide, from a basis of its complement."""
+
+    @pytest.mark.parametrize("n, k", [(8, 5), (6, 5), (64, 63)])
+    def test_frame_only_factors_are_thin(self, n, k):
+        rng = np.random.default_rng(47)
+        for _ in range(5):
+            g = haar_unitary(n, rng)
+            f = frame_of_unitary(g, k)
+            sigma, (x, xv, v, c) = select_frame_chart(f)
+            assert xv.shape == (n - k, n - k) and v.shape == (k, n - k) and c.shape == (n - k,)
+            assert frobenius(xv @ v.conj().T - x) <= 1e-13
+            assert np.array_equal(x, frame_chart_factors(f, sigma)[0])
+            # the projector path takes its complement from the frame's own eigh
+            p = projector_of_frame(f)
+            assert frobenius(chart_coordinates(p, sigma) - x) <= 1e-12
+            section = global_section(p)
+            assert unitarity_defect(section) <= 1e-12
+            assert frobenius(projector_of_unitary(section, k) - p) <= 1e-12
+
+
 class TestSections:
     def test_identity_section(self):
         np.testing.assert_allclose(

@@ -871,14 +871,20 @@ class TestFlagCoordinatesValidation:
                 make()
             assert exc.value.code == code
 
-    @pytest.mark.parametrize("profile", [(8,) * 6, (2, 1, 3), (1,) * 6])
+    @pytest.mark.parametrize("profile", [(8,) * 6, (2, 1, 3), (1,) * 6, (2, 5, 1), (2, 1, 3, 3, 1)])
     def test_one_svd_per_level(self, profile, monkeypatch):
-        # the constructor's ball check reads the SVD that gives the factors
-        svd, norm, svds, norms_2 = np.linalg.svd, np.linalg.norm, [], []
+        # the constructor's ball check reads the decomposition that gives
+        # the factors: one batched eigh per width of the k <= r levels, and
+        # one thin SVD per wide (k > r) level
+        svd, eigh, norm, svds, eighs, norms_2 = np.linalg.svd, np.linalg.eigh, np.linalg.norm, [], [], []
 
         def counting_svd(*args, **kwargs):
             svds.append(1)
             return svd(*args, **kwargs)
+
+        def counting_eigh(*args, **kwargs):
+            eighs.append(1)
+            return eigh(*args, **kwargs)
 
         def counting_norm(x, ord=None, *args, **kwargs):
             if ord == 2:
@@ -887,9 +893,12 @@ class TestFlagCoordinatesValidation:
 
         coords = random_flag_coordinates(profile, np.random.default_rng(40))
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         FlagCoordinates(coords.profile, coords.xs, coords.charts)
-        assert len(svds) == len(profile) - 1
+        dims = level_dimensions(profile)
+        assert len(svds) == sum(kj > nj - kj for nj, kj in dims)
+        assert len(eighs) == len({kj for nj, kj in dims if kj <= nj - kj})
         assert norms_2 == []
 
     def test_public_factors_match_ball_factors(self):
@@ -898,3 +907,30 @@ class TestFlagCoordinatesValidation:
         for x, factors in zip(coords.xs, coords.factors, strict=True):
             expected = ball_factors(x)
             assert all(np.array_equal(a, b) for a, b in zip(factors, expected, strict=True))
+
+    @pytest.mark.parametrize("profile", [(2, 1, 3, 3, 1), (1, 4, 2, 2, 1), (8,) * 16])
+    def test_batched_factors_match_ball_factors(self, profile):
+        # levels of one width share a batched eigh; each still matches its own call
+        coords = random_flag_coordinates(profile, np.random.default_rng(45))
+        for x, factors in zip(coords.xs, coords.factors, strict=True):
+            expected = ball_factors(x)
+            assert all(np.array_equal(a, b) for a, b in zip(factors, expected, strict=True))
+
+    @pytest.mark.parametrize(
+        "s", [[1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-13], [1e-6, 1e-12, 0.0], [1.0 - 1e-13, 0.0, 0.0]]
+    )
+    def test_sections_at_edge_spectra(self, s):
+        # coordinates whose singular values crowd the ball's edge or zero
+        rng = np.random.default_rng(46)
+        profile = (2, 3, 3, 1)
+        xs, charts = [], []
+        for nj, kj in level_dimensions(profile):
+            r, p = nj - kj, min(nj - kj, kj)
+            u, v = haar_unitary(r, rng)[:, :p], haar_unitary(kj, rng)[:, :p]
+            xs.append((u * np.pad(s, (0, 3))[:p]) @ v.conj().T)
+            charts.append(identity_chart(nj))
+        coords = FlagCoordinates(profile, tuple(xs), tuple(charts))
+        assert unitarity_defect(reconstruct_unitary(coords)) <= 1e-13
+        for x, (xv, v, c) in zip(coords.xs, coords.factors, strict=True):
+            assert unitarity_defect(ball_unitary(x)) <= 1e-13
+            assert frobenius(xv @ v.conj().T - x) <= 1e-14

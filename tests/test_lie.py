@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from flagparam import (
+    FlagparamError,
     NotPSDError,
     PrincipalRangeWarning,
     ball_to_generator,
@@ -10,6 +13,7 @@ from flagparam import (
     expm_reference,
     generator_matrix,
     generator_to_ball,
+    haar_unitary,
     hermitian_sqrt,
     sqrt_complement,
 )
@@ -184,3 +188,66 @@ class TestSqrtComplement:
     def test_rejects_outside_ball(self):
         with pytest.raises(NotPSDError):
             sqrt_complement(np.array([[1.2]]))
+
+
+def with_singular_values(rng, rows, cols, s):
+    """U diag(s) V* with Haar U and V; ``s`` is truncated or zero-padded to min(rows, cols)."""
+    p = min(rows, cols)
+    s = np.pad(np.asarray(s, dtype=float)[:p], (0, max(0, p - len(s))))
+    return (haar_unitary(rows, rng)[:, :p] * s) @ haar_unitary(cols, rng)[:, :p].conj().T
+
+
+class TestGramRoute:
+    """Every block is a function of the smaller Gram matrix B*B or BB*, from one eigh."""
+
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 5), (3, 4), (2, 7)])
+    def test_wide_mirrors_tall(self, shape):
+        # exp of the generator of -B* is exp of B's generator with its blocks
+        # swapped, and X(B*) = X(B)*: the wide branch against the tall one
+        rng = np.random.default_rng(60)
+        k1, k2 = shape
+        for _ in range(20):
+            b = random_ball_matrix(k1, k2, rng, radius=rng.uniform(0.0, 1.5))
+            u = exp_generator(b)
+            swap = np.r_[k1 : k1 + k2, 0:k1]
+            assert frobenius(exp_generator(-b.conj().T) - u[np.ix_(swap, swap)]) <= 1e-14
+            assert frobenius(generator_to_ball(b.conj().T) - generator_to_ball(b).conj().T) <= 1e-14
+            assert frobenius(u - expm_reference(generator_matrix(b))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "s", [[1.4, 1e-9, 1e-12, 0.0], [1e-6, 1e-9, 1e-12, 1e-12], [1.5, 1.5, 0.0, 0.0]]
+    )
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 4), (4, 6)])
+    def test_clustered_and_zero_singular_values(self, s, shape):
+        rng = np.random.default_rng(61)
+        k1 = shape[0]
+        for _ in range(10):
+            b = with_singular_values(rng, *shape, s)
+            oracle = expm_reference(generator_matrix(b))
+            u = exp_generator(b)
+            assert unitarity_defect(u) <= 1e-13
+            assert frobenius(u - oracle) <= 1e-13
+            x = generator_to_ball(b)
+            assert frobenius(x - oracle[:k1, k1:]) <= 1e-13
+            assert frobenius(ball_to_generator(x) - b) <= 1e-12
+            assert unitarity_defect(ball_unitary(x)) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1e160, 1e250, 1e307, 1.5e308])
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 1), (2, 3)])
+    def test_overflowing_gram(self, scale, shape):
+        # a generator whose Gram matrix overflows gives a finite result or a typed error
+        rng = np.random.default_rng(62)
+        b = scale * (rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape))
+        for f in (exp_generator, generator_to_ball):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", PrincipalRangeWarning)
+                    out = f(b)
+            except FlagparamError as exc:
+                assert exc.code == "NOT_FINITE"
+            else:
+                assert np.isfinite(out).all()
+                if f is exp_generator:
+                    assert unitarity_defect(out) <= 1e-13
+        with pytest.raises(FlagparamError):
+            ball_to_generator(b)

@@ -17,7 +17,17 @@ from flagparam import (
     lower_triangularize,
     polar_unitary,
 )
-from flagparam.linalg import frobenius, unitarity_defect
+from flagparam.errors import ValidationError
+from flagparam.linalg import (
+    ball_factors,
+    frobenius,
+    gram_eigh,
+    gram_eighs,
+    hermitian_mean,
+    hermitian_part,
+    open_ball_factors,
+    unitarity_defect,
+)
 
 
 def random_complex(rng, rows, cols):
@@ -244,3 +254,85 @@ class TestTolerancesAreConstants:
             if obj.__name__ not in self.KEEP:
                 knobs |= {f"{obj.__name__}.{p}" for p in params if p in self.KNOBS}
         assert not knobs
+
+
+def matrix_with_singular_values(rng, rows, cols, s):
+    """U diag(s) V* with Haar U and V; ``s`` is truncated or zero-padded to min(rows, cols)."""
+    p = min(rows, cols)
+    s = np.pad(np.asarray(s, dtype=float)[:p], (0, max(0, p - len(s))))
+    u = haar_unitary(rows, rng)[:, :p]
+    v = haar_unitary(cols, rng)[:, :p]
+    return (u * s) @ v.conj().T
+
+
+# singular values near the ball's edge, tiny ones, exact zeros and rank deficiency
+EDGE_SPECTRA = [
+    [1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-13],
+    [1e-6, 1e-9, 1e-12],
+    [0.5, 0.0, 0.0],
+    [1.0 - 1e-13, 1e-12, 0.0],
+    [0.0, 0.0, 0.0],
+]
+
+
+class TestGramRoute:
+    """Ball factors of a tall or square X come from one eigh of X*X; a wide X keeps its SVD."""
+
+    @pytest.mark.parametrize("s", EDGE_SPECTRA)
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 3), (7, 1), (2, 4)])
+    def test_ball_unitary_at_edge_spectra(self, s, shape):
+        rng = np.random.default_rng(50)
+        for _ in range(10):
+            x = matrix_with_singular_values(rng, *shape, s)
+            w = flagparam.ball_unitary(x)
+            assert unitarity_defect(w) <= 1e-13
+            assert np.array_equal(w[: shape[0], shape[0] :], x)
+            xv, v, c = ball_factors(x)
+            assert frobenius(xv @ v.conj().T - x) <= 1e-14
+            assert np.all((c >= 0.0) & (c <= 1.0))
+
+    def test_single_entry_keeps_its_modulus(self):
+        # sqrt(fl(x^2)) is x exactly, so the 1 x 1 cosine is ((1 - x)(1 + x))^1/2 to the last bit
+        for x in (1.0 - 1e-13, 1.0 - 2.0**-27, 0.75, 1e-150):
+            xv, v, c = ball_factors(np.array([[x]]))
+            assert xv[0, 0] == x and v[0, 0] == 1.0
+            assert c[0] == np.sqrt((1.0 - x) * (1.0 + x))
+
+    def test_batch_matches_single_calls(self):
+        rng = np.random.default_rng(51)
+        xs = [random_complex(rng, r, 3) for r in (3, 5, 9, 17)]
+        xs.append(matrix_with_singular_values(rng, 6, 3, EDGE_SPECTRA[3]))
+        batch_s, batch_q = gram_eighs(xs)
+        for x, s, q in zip(xs, batch_s, batch_q, strict=True):
+            single_s, single_q = gram_eigh(x)
+            assert np.array_equal(s, single_s) and np.array_equal(q, single_q)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 1), (2, 3)])
+    def test_overflowing_gram_still_rejects(self, scale, shape):
+        # X*X overflows above ||X|| ~ 1e154; the ball checks read the rescaled norm
+        x = scale * random_complex(np.random.default_rng(52), *shape)
+        s, _ = gram_eigh(x)
+        assert s[-1] == pytest.approx(np.linalg.norm(x / scale, 2) * scale, rel=1e-14)
+        with pytest.raises(NotPSDError):
+            flagparam.ball_unitary(x)
+        with pytest.raises(ValidationError) as exc:
+            open_ball_factors(x)
+        assert exc.value.code == "BALL_NORM"
+
+    def test_norm_overflow_is_typed(self):
+        with pytest.raises(ValidationError) as exc:
+            gram_eigh(np.full((4, 3), 1.5e308))
+        assert exc.value.code == "NOT_FINITE"
+
+
+class TestHermitianMean:
+    """(a + a*) / 2 through one copy of the transpose, bit for bit the direct expression."""
+
+    @pytest.mark.parametrize("n", [1, 16, 64, 256])
+    def test_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        a = random_complex(rng, n, n)
+        assert np.array_equal(hermitian_mean(a), (a + a.conj().T) / 2)
+        h = a + a.conj().T + 1e-14 * random_complex(rng, n, n)
+        assert np.array_equal(hermitian_part(h, tol=1.0), (h + h.conj().T) / 2)
