@@ -413,23 +413,41 @@ class TestPeelResults:
 def right_looking_peel(g, profile):
     """The per-level peel that the panels replaced: each level updates the r x r block that survives.
 
-    Same chart search and factors as the library's peel; every residue,
-    rank-one ones included, is formed from the level's rows.
+    Same chart rule and factors as the library's peel; every residue,
+    rank-one ones included, is formed from the level's rows.  The block is
+    carried in extended precision (``np.clongdouble``, a 64-bit mantissa
+    on x86-64), and rank-one levels take their chart, x = f_top conj(b) / |b|
+    and c = |b| there, so the reference's own rounding stays far below the
+    panel peel's.  Otherwise a run of near-boundary levels ending in a
+    small cosine c, which magnifies a block's rounding by 1 / c in x, lets
+    two double-precision peels drift apart by the sum of their errors.
+    Wider levels take the library's chart search on the block rounded to
+    double precision.
     """
-    cur = g
+    cur = np.asarray(g).astype(np.clongdouble)
     xs, charts, blocks = [], [], []
     for nj, kj in level_dimensions(profile):
         r = nj - kj
-        sigma, (x, xv, v, c) = _select_frame_chart(cur[:, r:], cur[:, :r])
+        if kj == 1:
+            # _line_chart's rule: the last row with |f_d| > RANK_TOL
+            a = np.abs(cur[:, r])
+            d = int((a > RANK_TOL).nonzero()[0][-1]) + 1
+            sigma = tuple(range(1, d)) + tuple(range(d + 1, nj + 1)) + (d,)
+            c = a[d - 1 : d]
+            x = xv = cur[d - 1, r].conj() / c[0] * _gather_rows(cur, sigma, r)[:r, r:]
+            v = np.ones((1, 1), dtype=np.clongdouble)
+        else:
+            block = cur.astype(complex)
+            sigma, (x, xv, v, c) = _select_frame_chart(block[:, r:], block[:, :r])
         rows = _gather_rows(cur, sigma, r)
         yh = np.concatenate((xv / (1.0 + c), v)).conj().T
         residue = rows[r:, r:] - v @ ((1.0 + c)[:, None] * (yh @ rows[:, r:]))
         residue -= v @ (2.0 * (v.conj().T @ residue))
         blocks.append(residue)
         cur = rows[:r, :r] - xv @ (yh @ rows[:, :r])
-        xs.append(x)
+        xs.append(x.astype(complex))
         charts.append(sigma)
-    return xs, charts, [cur] + blocks[::-1]
+    return xs, charts, [b.astype(complex) for b in [cur] + blocks[::-1]]
 
 
 def off_chart_at(n, level, rng):
