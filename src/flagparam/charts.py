@@ -27,7 +27,6 @@ from .linalg import (
     as_matrix,
     as_square,
     ball_factors,
-    block_rotation,
     exact_ints,
     frobenius,
     gram_eigh,
@@ -36,6 +35,7 @@ from .linalg import (
     hermitian_part,
     identity_plus,
     open_ball_factors,
+    read_as,
 )
 
 
@@ -53,6 +53,12 @@ def _is_identity(sigma, r):
     return sigma[r] == r + 1
 
 
+def _int_entries(sigma):
+    """The entries of sigma as an int array, read by :func:`~flagparam.linalg.exact_ints` unless already ints."""
+    s = np.array(sigma).ravel()
+    return s if s.dtype.kind in "iu" else np.array(exact_ints(s.tolist()), dtype=np.int64)
+
+
 def validate_chart(sigma, k, n=None):
     """Check that sigma is a valid chart permutation for G(k, C^n).
 
@@ -62,12 +68,7 @@ def validate_chart(sigma, k, n=None):
     :func:`~flagparam.linalg.exact_ints`, so 1.7 raises rather than being
     truncated.
     """
-    try:
-        s = np.array(sigma).ravel()
-        if s.dtype.kind not in "iu":
-            s = np.array(exact_ints(s.tolist()), dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"chart entries must be integers: {exc}", code="BAD_CHART") from None
+    s = read_as(_int_entries, sigma, "BAD_CHART", "chart entries must be integers")
     sigma = tuple(s.tolist())
     m = s.size
     if n is not None and m != n:
@@ -148,7 +149,13 @@ def ball_unitary(x):
 
 def _section_of_factors(x, xv, v, c):
     """The dense W(X) of :func:`ball_unitary` from factors (X, XV, V, c) already at hand."""
-    return block_rotation(identity_plus(xv, -1.0 / (1.0 + c)), x, identity_plus(v, c - 1.0))
+    r, k = x.shape
+    w = np.empty((r + k, r + k), dtype=complex)
+    w[:r, :r] = identity_plus(xv, -1.0 / (1.0 + c))
+    w[:r, r:] = x
+    w[r:, :r] = -x.conj().T
+    w[r:, r:] = identity_plus(v, c - 1.0)
+    return w
 
 
 def frame_of_unitary(g, k):
@@ -245,17 +252,17 @@ _UNIT = np.ones((1, 1), dtype=complex)
 _UNIT.flags.writeable = False
 
 
-def _chart_factors(f, sigma, left=None, c=None):
+def _chart_factors(f, sigma, left):
     """:func:`frame_chart_factors` for a chart already known to be valid.
 
     ``left``, the other r = n - k columns of a unitary ending in f, makes
     the factors p = min(r, k) columns wide when k > r, as X has rank <= r
-    (without it, as for k = n, the full k x k SVD is taken):
+    (when it is None, as for k = n, the full k x k SVD is taken):
     its rows L in chart order have B B* = I - L L*, so with Z from a QR of
     the bottom ones the SVD B* Z = W' S Q* gives the cosines below 1,
     V = Z Q and XV = F_top W', each to absolute accuracy at cosines near
     ``RANK_TOL`` (Z's rounding reaches only W', along the null space of
-    F_top).  For k = 1, ``c`` = |b| may come already checked.
+    F_top).
     """
     n, k = f.shape
     r = n - k
@@ -263,9 +270,8 @@ def _chart_factors(f, sigma, left=None, c=None):
     top, b = f_perm[:r], f_perm[r:]
     if k == 1:
         # the block is one entry b: c = |b|, V = 1 and X = F_top conj(b) / |b|
-        if c is None:
-            c = np.abs(b[0])
-            _require_in_chart(c, sigma)
+        c = np.abs(b[0])
+        _require_in_chart(c, sigma)
         xv = top * (complex(b[0, 0]).conjugate() / float(c[0]))
         return xv, xv, _UNIT, c
     if left is None or k <= r:
@@ -355,9 +361,10 @@ def _line_chart(f):
 
     Chart d designates row d, and the priority order runs d = n, ..., 1, so
     the first valid chart designates the last row with |f_d| > ``RANK_TOL``:
-    one vectorized comparison.  c comes from the same ``np.abs``, so it
-    agrees with the comparison bit for bit.  Raises :class:`NoChartError`
-    when no row qualifies.
+    one vectorized comparison.  The factors are those of :func:`_chart_factors`
+    at k = 1, with c from this ``np.abs`` of the whole column, which may
+    differ in the last bit from the ``np.abs`` of one entry.  Raises
+    :class:`NoChartError` when no row qualifies.
     """
     a = np.abs(f[:, 0])
     valid = (a > RANK_TOL).nonzero()[0]
@@ -365,10 +372,12 @@ def _line_chart(f):
         raise NoChartError(_NO_CHART)
     d = int(valid[-1]) + 1
     sigma = tuple(range(1, d)) + tuple(range(d + 1, a.size + 1)) + (d,)
-    return sigma, _chart_factors(f, sigma, c=a[d - 1 : d])
+    c = a[d - 1 : d]
+    xv = _gather_rows(f, sigma, a.size - 1)[:-1] * (complex(f[d - 1, 0]).conjugate() / float(c[0]))
+    return sigma, (xv, xv, _UNIT, c)
 
 
-def _select_frame_chart(f, left=None):
+def _select_frame_chart(f, left):
     """:func:`select_frame_chart` for a frame coerced by ``as_matrix``; ``left`` as in :func:`_chart_factors`."""
     n, k = f.shape
     if k == 1:

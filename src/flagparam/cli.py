@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import iojson, verify
-from .coset import decompose_unitary, reconstruct_unitary, validate_profile
+from .coset import _peel, reconstruct_unitary, validate_profile
 from .density import GAP_TOL, TRACE_TOL, _hermitian_unit_trace, deparametrize, parametrize
 from .errors import FlagparamError, ValidationError
 from .linalg import EPS_HERMITIAN, EPS_UNITARY, as_square, frobenius, require_tol, unitarity_defect
@@ -92,7 +92,8 @@ def cmd_decompose_unitary(args):
         w, _, vh = np.linalg.svd(g)
         g = w @ vh
     profile = validate_profile(args.profile.split(","), n=g.shape[0])
-    coords, blocks = decompose_unitary(g, profile)
+    # unitary at EPS_UNITARY by the check above: decompose_unitary without its own
+    coords, blocks = _peel(g, profile, residues=True)
     doc = iojson.coords_to_json(coords)
     doc["h_blocks"] = [iojson.matrix_to_json(b) for b in blocks.blocks]
     if args.reconstruct:

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import (
     RANK_TOL,
+    _complex_array,
     as_matrix,
     block_diag,
     exact_ints,
@@ -30,6 +31,7 @@ from .linalg import (
     gram_eighs,
     lower_triangularize,
     open_ball_factors,
+    read_as,
     require_unitary,
 )
 from .charts import (
@@ -51,10 +53,7 @@ def validate_profile(ks, n=None):
     An entry that is not integral, such as 1.5, raises rather than being
     truncated (see :func:`~flagparam.linalg.exact_ints`).
     """
-    try:
-        ks = exact_ints(ks)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"profile must be a sequence of ints: {exc}", code="PROFILE_VALUES")
+    ks = read_as(exact_ints, ks, "PROFILE_VALUES", "profile must be a sequence of ints")
     if len(ks) == 0 or any(k < 1 for k in ks):
         raise ValidationError(f"profile entries must be >= 1, got {ks}", code="PROFILE_VALUES")
     if n is not None and sum(ks) != n:
@@ -217,8 +216,9 @@ _PANEL_LEVELS = 32
 def _peel(g, ks, residues=False):
     """:func:`decompose_unitary` of a unitary ``g`` over a valid profile, without the unitarity check.
 
-    For eigenvectors from ``eigh``; ``g`` is only read, and copied once into
-    an n x (n + _PANEL_LEVELS) buffer.  W(X) is p = min(r, k) Hermitian
+    For a unitary the caller already holds: ``eigh``'s eigenvectors, or one
+    it has built or checked.  ``g`` is only read, and copied once into an
+    n x (n + _PANEL_LEVELS) buffer.  W(X) is p = min(r, k) Hermitian
     reflectors after p sign flips, (I - Y diag(1 + c) Y*)(I - 2 V^ V^*) with
     Y = [XV diag(1 / (1 + c)); V] and V^ = [0; V], so W(X)* takes the same
     factors in the other order.  Per level, with G the n_j rows in chart
@@ -431,14 +431,15 @@ def section_from_projective_factors(p):
 
     Only defined on the identity chart.  The plane's section is
     right-normalized so the bottom block is lower triangular with positive
-    diagonal, then peeled by :func:`decompose_unitary` over the profile
-    (n - k, 1, ..., 1).  Each diagonal entry is a rank-one level's cosine
-    and exceeds ``RANK_TOL``, the chart tolerance, so every level stays in
-    the identity chart.  Each peeled vector x_i has exact zeros in its trailing positions
-    (all but the first n - k and the peeled ones), which is what makes the
-    factors cheap to write down.  Returns the peeled vectors, outermost
-    first, and the product of the embedded factors: a unitary whose last k
-    columns span the input plane.
+    diagonal, then peeled as by :func:`decompose_unitary`, without its
+    residue or unitarity check, over the profile (n - k, 1, ..., 1).  Each
+    diagonal entry is a rank-one level's cosine and exceeds ``RANK_TOL``,
+    the chart tolerance, so every level stays in the identity chart.  Each
+    peeled vector x_i has exact zeros in its trailing positions (all but the
+    first n - k and the peeled ones), which is what makes the factors cheap
+    to write down.  Returns the peeled vectors, outermost first, and the
+    product of the embedded factors: a unitary whose last k columns span the
+    input plane.
     """
     f, left = _projector_frames(p)
     n, k = f.shape
@@ -448,7 +449,7 @@ def section_from_projective_factors(p):
     g = _section_of_factors(*x0_factors)
     u_tri, _ = lower_triangularize(g[n - k :, n - k :])
     g[:, n - k :] = g[:, n - k :] @ u_tri
-    coords, _ = decompose_unitary(g, (n - k,) + (1,) * k)
+    coords, _ = _peel(g, (n - k,) + (1,) * k)
     return [x.ravel() for x in coords.xs], reconstruct_unitary(coords)
 
 
@@ -460,13 +461,14 @@ class JarlskogLevel:
     zeta: np.ndarray
 
     def __post_init__(self):
-        theta = float(self.theta)
-        zeta = np.asarray(self.zeta, dtype=complex).reshape(-1)
+        theta = read_as(float, self.theta, "THETA_RANGE", "theta must be a real number")
+        zeta = _complex_array(self.zeta).reshape(-1)
         if not 0.0 <= theta < math.pi / 2:
             raise ValidationError(f"theta={theta} outside [0, pi/2)", code="THETA_RANGE")
         if zeta.size < 1:
             raise ValidationError("zeta must be nonempty", code="BAD_SHAPE")
-        if abs(np.linalg.norm(zeta) - 1.0) > 1e-12:
+        # written so that a NaN norm fails it too
+        if not abs(np.linalg.norm(zeta) - 1.0) <= 1e-12:
             raise ValidationError(
                 f"zeta norm {np.linalg.norm(zeta):.15f} != 1", code="ZETA_NORM"
             )
@@ -485,7 +487,9 @@ def ball_to_jarlskog(x):
     The zero vector maps to theta = 0 with direction e_1 by convention
     (any direction is equivalent there).
     """
-    x = np.asarray(x, dtype=complex).reshape(-1)
+    x = _complex_array(x).reshape(-1)
+    if x.size < 1:
+        raise ValidationError("x must be nonempty", code="BAD_SHAPE")
     nrm = float(np.linalg.norm(x))
     if nrm >= 1.0:
         raise ValidationError(f"vector norm {nrm:.6f} >= 1", code="BALL_NORM")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapAmbiguityError, ValidationError
-from .linalg import EPS_HERMITIAN, PSD_TOL, hermitian_mean, hermitian_part, require_tol
+from .linalg import EPS_HERMITIAN, PSD_TOL, hermitian_mean, hermitian_part, read_as, require_tol
 from .coset import FlagCoordinates, _peel, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
@@ -39,7 +39,7 @@ class Spectrum:
 
     def __post_init__(self):
         profile = validate_profile(self.profile)
-        lambdas = tuple(float(v) for v in self.lambdas)
+        lambdas = read_as(lambda v: tuple(map(float, v)), self.lambdas, "LAMBDA_VALUES", "eigenvalues must be numbers")
         if not all(map(math.isfinite, lambdas)):
             raise ValidationError(f"eigenvalues must be finite: {lambdas}", code="NOT_FINITE")
         if len(lambdas) != len(profile):

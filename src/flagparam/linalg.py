@@ -2,8 +2,9 @@
 
 Everything here works on plain ``numpy`` arrays (``complex128``) and is a
 pure function of its inputs: no global state, safe for concurrent use.
-The module-level constants are the package's tolerances; only the reference
-``hermitian_sqrt`` takes its own as keyword arguments.
+The module-level constants are the package's tolerances; only
+``hermitian_part`` takes its bound as an argument, as its callers check
+density inputs and projectors at different tolerances.
 
 Matrix functions of a rectangular X (the square roots of a ball
 coordinate, the blocks of a generator's exponential) are scalar functions
@@ -30,9 +31,22 @@ PROJECTOR_TOL = 1e-8   # allowed Hermiticity, idempotency and trace defects of a
 RANK_TOL = 1e-4
 
 
+def read_as(convert, value, code, what):
+    """convert(value); a value that ``int``, ``float`` or ``np.asarray`` cannot read raises ``code``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what}: {exc}", code=code) from None
+
+
+def _complex_array(a):
+    """np.asarray(a, dtype=complex); what it cannot read raises ``BAD_SHAPE``."""
+    return read_as(lambda v: np.asarray(v, dtype=complex), a, "BAD_SHAPE", "expected a complex matrix")
+
+
 def as_matrix(a):
     """Coerce input to a finite 2-D complex array; 1-D becomes a column."""
-    m = np.asarray(a, dtype=complex)
+    m = _complex_array(a)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
@@ -44,7 +58,7 @@ def as_matrix(a):
 
 def as_square(a):
     """Coerce input to a finite square complex matrix."""
-    m = np.asarray(a, dtype=complex)
+    m = _complex_array(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}", code="BAD_SHAPE")
     if m.size and not np.isfinite(m).all():
@@ -89,10 +103,7 @@ def exact_ints(values):
 
 def require_tol(value, name):
     """value as a float; raises ``BAD_TOL`` unless it is a finite, nonnegative number."""
-    try:
-        tol = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a number, got {value!r}", code="BAD_TOL") from None
+    tol = read_as(float, value, "BAD_TOL", f"{name} must be a number")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"{name} must be finite and >= 0, got {tol!r}", code="BAD_TOL")
     return tol
@@ -140,17 +151,17 @@ def hermitian_part(a, tol=EPS_HERMITIAN, code="NOT_HERMITIAN"):
     return h
 
 
-def hermitian_sqrt(a, psd_tol=PSD_TOL, herm_tol=EPS_HERMITIAN):
+def hermitian_sqrt(a):
     """PSD square root of a Hermitian PSD matrix via eigendecomposition.
 
-    Eigenvalues in ``[-psd_tol, 0)`` are clamped to zero so that inputs
+    Eigenvalues in ``[-PSD_TOL, 0)`` are clamped to zero so that inputs
     grazing the PSD boundary (e.g. I - X*X at the edge of the ball) still
     have a square root.  Raises :class:`NotPSDError` for anything below
-    ``-psd_tol``.
+    ``-PSD_TOL``.
     """
-    w, v = np.linalg.eigh(hermitian_part(a, herm_tol))
-    if w.size and w[0] < -psd_tol:
-        raise NotPSDError(f"eigenvalue {w[0]:.6e} below -psd_tol={psd_tol:.1e}")
+    w, v = np.linalg.eigh(hermitian_part(a))
+    if w.size and w[0] < -PSD_TOL:
+        raise NotPSDError(f"eigenvalue {w[0]:.6e} below -PSD_TOL={PSD_TOL:.1e}")
     return hermitian_mean((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 
@@ -269,22 +280,6 @@ def identity_plus(w, d):
     return m
 
 
-def block_rotation(top, x, bottom):
-    """The (r + k) square matrix [[top, X], [-X*, bottom]] for an r x k block X.
-
-    The layout shared by the ball unitary W(X) and the exponential of an
-    off-diagonal generator, whose diagonal blocks are both rank-min(r, k)
-    corrections of the identity (see :func:`identity_plus`).
-    """
-    r, k = x.shape
-    w = np.empty((r + k, r + k), dtype=complex)
-    w[:r, :r] = top
-    w[:r, r:] = x
-    w[r:, :r] = -x.conj().T
-    w[r:, r:] = bottom
-    return w
-
-
 def polar_unitary(y):
     """Polar factors of the adjoint: Y* = U P with U unitary, P = |Y*| PSD.
 
@@ -341,7 +336,7 @@ def haar_unitary(n, seed=None):
     into Q, which makes the distribution exactly Haar.  ``seed`` may be an
     int or a ``numpy.random.Generator``.
     """
-    n = int(n)
+    n = read_as(int, n, "BAD_DIMENSION", "n must be an integer")
     if n < 1:
         raise ValidationError("n must be >= 1", code="BAD_DIMENSION")
     rng = np.random.default_rng(seed)

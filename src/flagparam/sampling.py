@@ -10,7 +10,7 @@ from .charts import identity_chart
 from .coset import (
     BlockDiagonalUnitary,
     FlagCoordinates,
-    decompose_unitary,
+    _peel,
     level_dimensions,
     validate_profile,
 )
@@ -87,7 +87,8 @@ def random_density_parameters(profile, rng):
     The spectrum keeps gaps of at least min(MIN_SPECTRUM_GAP, half the largest
     feasible gap); ``SPECTRUM_SAMPLING`` is raised before any draw when that is
     below SPLIT_FACTOR * GAP_TOL, which deparametrize could not split back.  The
-    flag point comes from a Haar unitary: its law is the pushforward of Haar measure.
+    flag point comes from a Haar unitary, peeled as by ``decompose_unitary`` but
+    without its residue or unitarity check: its law is the pushforward of Haar measure.
     """
     ks = validate_profile(profile)
     min_gap = min(MIN_SPECTRUM_GAP, 0.5 * largest_feasible_gap(ks))
@@ -100,5 +101,5 @@ def random_density_parameters(profile, rng):
         )
     rng = np.random.default_rng(rng)
     spectrum = random_spectrum(ks, rng, min_gap)
-    coords, _ = decompose_unitary(haar_unitary(sum(ks), rng), ks)
+    coords, _ = _peel(haar_unitary(sum(ks), rng), ks)
     return DensityParameters(spectrum, coords)

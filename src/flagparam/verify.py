@@ -34,8 +34,8 @@ def _prop(name, count, max_residual, tolerance):
     }
 
 
-def _random_dims(rng, max_n, min_n=2):
-    n = int(rng.integers(min_n, max_n + 1))
+def _random_dims(rng, max_n):
+    n = int(rng.integers(2, max_n + 1))
     k = int(rng.integers(1, n))
     return n, k
 

@@ -1,0 +1,84 @@
+"""Typed errors of the public calls, in process.
+
+Every malformed input to a public call raises a ``ValidationError`` whose
+code names the field at fault; no ``TypeError``, ``ValueError`` from numpy
+or ``IndexError`` escapes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from flagparam import (
+    BlockDiagonalUnitary,
+    FlagCoordinates,
+    JarlskogLevel,
+    Spectrum,
+    ValidationError,
+    ball_to_jarlskog,
+    coordinates_distance,
+    deparametrize,
+    frame_of_unitary,
+    haar_unitary,
+    identity_chart,
+    permutation_unitary,
+    section_from_projective_factors,
+    select_chart,
+)
+from flagparam.charts import validate_chart
+from flagparam.linalg import as_matrix, as_square
+
+# values that int, float, complex or np.asarray cannot read, each under the
+# code of its field
+UNREADABLE = [
+    pytest.param(lambda: Spectrum((1,), ("x",)), "LAMBDA_VALUES", id="lambda-str"),
+    pytest.param(lambda: Spectrum((1,), (1 + 0j,)), "LAMBDA_VALUES", id="lambda-complex"),
+    pytest.param(lambda: Spectrum((1,), (None,)), "LAMBDA_VALUES", id="lambda-none"),
+    pytest.param(lambda: Spectrum((1,), 1.0), "LAMBDA_VALUES", id="lambdas-scalar"),
+    pytest.param(lambda: JarlskogLevel("x", np.array([1.0])), "THETA_RANGE", id="theta-str"),
+    pytest.param(lambda: JarlskogLevel(0.1, "abc"), "BAD_SHAPE", id="zeta-str"),
+    pytest.param(lambda: haar_unitary("x"), "BAD_DIMENSION", id="haar-str"),
+    pytest.param(lambda: haar_unitary(None), "BAD_DIMENSION", id="haar-none"),
+    pytest.param(lambda: ball_to_jarlskog(np.zeros(0)), "BAD_SHAPE", id="jarlskog-empty"),
+    pytest.param(lambda: ball_to_jarlskog("abc"), "BAD_SHAPE", id="jarlskog-str"),
+    pytest.param(lambda: deparametrize("abc"), "BAD_SHAPE", id="deparametrize-str"),
+    pytest.param(lambda: as_matrix("abc"), "BAD_SHAPE", id="matrix-str"),
+    pytest.param(lambda: as_square([[1.0, 2.0], [3.0]]), "BAD_SHAPE", id="square-ragged"),
+]
+
+# one call per typed-error branch of charts, coset and linalg
+BRANCHES = [
+    pytest.param(lambda: validate_chart((1, 2), 0), "BAD_CHART", id="chart-k"),
+    pytest.param(lambda: permutation_unitary((1, 1)), "BAD_CHART", id="permutation-repeat"),
+    pytest.param(lambda: frame_of_unitary(np.eye(3), 0), "BAD_DIMENSION", id="frame-k"),
+    pytest.param(lambda: select_chart(np.zeros((3, 3))), "NOT_PROJECTOR", id="projector-trace"),
+    pytest.param(lambda: BlockDiagonalUnitary(()), "PROFILE_VALUES", id="blocks-empty"),
+    pytest.param(lambda: section_from_projective_factors(np.eye(3)), "BAD_DIMENSION", id="projective-full"),
+    pytest.param(lambda: JarlskogLevel(0.1, np.zeros(0)), "BAD_SHAPE", id="zeta-empty"),
+    pytest.param(lambda: as_matrix(np.zeros((2, 2, 2))), "BAD_SHAPE", id="matrix-ndim"),
+    pytest.param(lambda: as_square([[np.inf]]), "NOT_FINITE", id="square-inf"),
+    pytest.param(lambda: haar_unitary(0), "BAD_DIMENSION", id="haar-zero"),
+]
+
+
+@pytest.mark.parametrize("call, code", UNREADABLE + BRANCHES)
+def test_typed_error(call, code):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.code == code
+
+
+@pytest.mark.parametrize("zeta", [[math.nan], [math.nan, 0.0], [math.inf]])
+def test_non_finite_direction_is_rejected(zeta):
+    # abs(norm - 1) > tol is False for a NaN norm; the check must fail it
+    with pytest.raises(ValidationError) as exc:
+        JarlskogLevel(0.1, np.array(zeta))
+    assert exc.value.code == "ZETA_NORM"
+
+
+def test_coordinates_distance_edges():
+    one_block = FlagCoordinates((2,), (), ())
+    two_blocks = FlagCoordinates((1, 1), (np.zeros((1, 1)),), (identity_chart(2),))
+    assert coordinates_distance(one_block, two_blocks) == math.inf
+    assert coordinates_distance(one_block, FlagCoordinates((2,), (), ())) == 0.0

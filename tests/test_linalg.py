@@ -62,7 +62,7 @@ class TestHermitianSqrt:
 
     def test_clamps_grazing_eigenvalues(self):
         a = np.diag([1.0, -5e-11])
-        s = hermitian_sqrt(a, psd_tol=1e-10)
+        s = hermitian_sqrt(a)
         assert np.linalg.eigvalsh(s)[0] >= 0.0
 
     def test_rejects_negative(self):
@@ -230,9 +230,8 @@ class TestTolerancesAreConstants:
     # the tolerances are the module constants; a caller sets only
     # deparametrize's clustering gap_tol and, through the CLI, FLAGPARAM_TOL
     KNOBS = {"rank_tol", "psd_tol", "unit_tol", "herm_tol", "trace_tol", "tol", "gap_tol"}
-    # the eigendecomposition reference the tests check against, and the
-    # one clustering threshold
-    KEEP = {"hermitian_sqrt", "deparametrize"}
+    # the one clustering threshold
+    KEEP = {"deparametrize"}
 
     def test_no_tolerance_keywords(self):
         from flagparam import charts, iojson, linalg
