@@ -36,6 +36,7 @@ from .linalg import (
     identity_plus,
     open_ball_factors,
     read_as,
+    read_int,
 )
 
 
@@ -59,6 +60,14 @@ def _int_entries(sigma):
     return s if s.dtype.kind in "iu" else np.array(exact_ints(s.tolist()), dtype=np.int64)
 
 
+def _permutation(sigma):
+    """The entries of sigma as an int array; raises ``BAD_CHART`` unless they are integers permuting 1..len."""
+    s = read_as(_int_entries, sigma, "BAD_CHART", "chart entries must be integers")
+    if not (np.sort(s) == np.arange(1, s.size + 1)).all():
+        raise ValidationError(f"{tuple(s.tolist())} is not a permutation of 1..{s.size}", code="BAD_CHART")
+    return s
+
+
 def validate_chart(sigma, k, n=None):
     """Check that sigma is a valid chart permutation for G(k, C^n).
 
@@ -66,15 +75,13 @@ def validate_chart(sigma, k, n=None):
     n-k entries and its last k entries must each be strictly increasing.
     Entries that are not integers are read as by
     :func:`~flagparam.linalg.exact_ints`, so 1.7 raises rather than being
-    truncated.
+    truncated; so is k.
     """
-    s = read_as(_int_entries, sigma, "BAD_CHART", "chart entries must be integers")
-    sigma = tuple(s.tolist())
-    m = s.size
+    s = _permutation(sigma)
+    sigma, m = tuple(s.tolist()), s.size
     if n is not None and m != n:
         raise ValidationError(f"chart length {m} != n={n}", code="BAD_CHART")
-    if not (np.sort(s) == np.arange(1, m + 1)).all():
-        raise ValidationError(f"{sigma} is not a permutation of 1..{m}", code="BAD_CHART")
+    k = read_int(k, "BAD_CHART", "block size k must be an integer")
     if not 1 <= k <= m:
         raise ValidationError(f"invalid block size k={k} for n={m}", code="BAD_CHART")
     rises = s[1:] > s[:-1]
@@ -95,6 +102,10 @@ def chart_permutations(n, k):
     listed in increasing order: the identity chart comes first.  Enumerating the top rows in
     lexicographic order produces it directly.
     """
+    n = read_int(n, "BAD_DIMENSION", "n must be an integer")
+    k = read_int(k, "BAD_DIMENSION", "k must be an integer")
+    if not 1 <= k <= n:
+        raise ValidationError(f"invalid k={k} for n={n}", code="BAD_DIMENSION")
     perms = []
     for top in itertools.combinations(range(1, n + 1), n - k):
         rest = set(top)
@@ -120,15 +131,9 @@ def _gather_rows(m, sigma, r):
 
 
 def permutation_unitary(sigma):
-    """Permutation matrix sending basis vector e_j to e_{sigma(j)}."""
-    sigma = tuple(int(s) for s in sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ValidationError(f"{sigma} is not a permutation of 1..{n}", code="BAD_CHART")
-    u = np.zeros((n, n), dtype=complex)
-    for j, sj in enumerate(sigma):
-        u[sj - 1, j] = 1.0
-    return u
+    """Permutation matrix sending basis vector e_j to e_{sigma(j)}; entries are read as by :func:`validate_chart`."""
+    s = _permutation(sigma)
+    return _scatter_rows(np.eye(s.size, dtype=complex), s)
 
 
 def ball_unitary(x):
@@ -161,7 +166,7 @@ def _section_of_factors(x, xv, v, c):
 def frame_of_unitary(g, k):
     """Last k columns of a unitary: an orthonormal frame of the image plane."""
     g = as_square(g)
-    k = int(k)
+    k = read_int(k, "BAD_DIMENSION", "k must be an integer")
     if not 1 <= k <= g.shape[0]:
         raise ValidationError(f"invalid k={k} for n={g.shape[0]}", code="BAD_DIMENSION")
     return g[:, g.shape[0] - k :].copy()
@@ -269,8 +274,10 @@ def _chart_factors(f, sigma, left):
     f_perm = _gather_rows(f, sigma, r)
     top, b = f_perm[:r], f_perm[r:]
     if k == 1:
-        # the block is one entry b: c = |b|, V = 1 and X = F_top conj(b) / |b|
-        c = np.abs(b[0])
+        # the block is one entry b: c = |b|, V = 1 and X = F_top conj(b) / |b|;
+        # |b| comes from np.abs of the whole column, the array _line_chart
+        # compares: np.abs of one entry can differ from it in the last bit
+        c = np.abs(f[:, 0])[sigma[-1] - 1 : sigma[-1]]
         _require_in_chart(c, sigma)
         xv = top * (complex(b[0, 0]).conjugate() / float(c[0]))
         return xv, xv, _UNIT, c
@@ -361,10 +368,8 @@ def _line_chart(f):
 
     Chart d designates row d, and the priority order runs d = n, ..., 1, so
     the first valid chart designates the last row with |f_d| > ``RANK_TOL``:
-    one vectorized comparison.  The factors are those of :func:`_chart_factors`
-    at k = 1, with c from this ``np.abs`` of the whole column, which may
-    differ in the last bit from the ``np.abs`` of one entry.  Raises
-    :class:`NoChartError` when no row qualifies.
+    one vectorized comparison.  The factors are those of :func:`_chart_factors`.
+    Raises :class:`NoChartError` when no row qualifies.
     """
     a = np.abs(f[:, 0])
     valid = (a > RANK_TOL).nonzero()[0]
@@ -372,9 +377,7 @@ def _line_chart(f):
         raise NoChartError(_NO_CHART)
     d = int(valid[-1]) + 1
     sigma = tuple(range(1, d)) + tuple(range(d + 1, a.size + 1)) + (d,)
-    c = a[d - 1 : d]
-    xv = _gather_rows(f, sigma, a.size - 1)[:-1] * (complex(f[d - 1, 0]).conjugate() / float(c[0]))
-    return sigma, (xv, xv, _UNIT, c)
+    return sigma, _chart_factors(f, sigma, None)
 
 
 def _select_frame_chart(f, left):

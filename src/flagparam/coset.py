@@ -141,10 +141,6 @@ class FlagCoordinates:
     def n(self):
         return sum(self.profile)
 
-    @property
-    def num_levels(self):
-        return len(self.xs)
-
 
 @dataclass(frozen=True, eq=False)
 class BlockDiagonalUnitary:
@@ -164,11 +160,6 @@ class BlockDiagonalUnitary:
 
     def matrix(self):
         return block_diag(*self.blocks)
-
-    @classmethod
-    def identity(cls, profile):
-        profile = validate_profile(profile)
-        return cls(tuple(np.eye(k, dtype=complex) for k in profile))
 
 
 def coordinates_distance(a: FlagCoordinates, b: FlagCoordinates) -> float:

@@ -61,10 +61,6 @@ class Spectrum:
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "lambdas", lambdas)
 
-    @property
-    def n(self):
-        return sum(self.profile)
-
     def diagonal(self):
         """The eigenvalues repeated per multiplicity, as a vector."""
         return np.repeat(np.array(self.lambdas, dtype=float), np.array(self.profile))
@@ -84,10 +80,6 @@ class DensityParameters:
                 f"coordinates profile {self.coords.profile}",
                 code="PROFILE_SUM",
             )
-
-    @property
-    def n(self):
-        return self.spectrum.n
 
 
 def parametrize(params: DensityParameters):

@@ -79,12 +79,6 @@ def unitarity_defect(g) -> float:
     return frobenius(g.conj().T @ g - np.eye(g.shape[1]))
 
 
-def hermiticity_defect(a) -> float:
-    """||a - a*||_F."""
-    a = np.asarray(a, dtype=complex)
-    return frobenius(a - a.conj().T)
-
-
 def exact_ints(values):
     """The entries of ``values`` as a tuple of ints, none of them truncated.
 
@@ -99,6 +93,11 @@ def exact_ints(values):
             if i != v and not isinstance(v, str):
                 raise ValueError(f"{v!r} is not an integer")
     return ints
+
+
+def read_int(value, code, what):
+    """value as an int, read by :func:`exact_ints`: one it cannot read, or would truncate, raises ``code``."""
+    return read_as(lambda v: exact_ints((v,))[0], value, code, what)
 
 
 def require_tol(value, name):
@@ -336,7 +335,7 @@ def haar_unitary(n, seed=None):
     into Q, which makes the distribution exactly Haar.  ``seed`` may be an
     int or a ``numpy.random.Generator``.
     """
-    n = read_as(int, n, "BAD_DIMENSION", "n must be an integer")
+    n = read_int(n, "BAD_DIMENSION", "n must be an integer")
     if n < 1:
         raise ValidationError("n must be >= 1", code="BAD_DIMENSION")
     rng = np.random.default_rng(seed)

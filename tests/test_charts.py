@@ -5,6 +5,7 @@ import pytest
 
 from flagparam import (
     RANK_TOL,
+    FlagCoordinates,
     NoChartError,
     NotPSDError,
     OutOfChartError,
@@ -94,6 +95,14 @@ class TestPermutations:
         with pytest.raises(ValidationError) as exc:
             validate_chart(sigma, 1)
         assert exc.value.code == "BAD_CHART"
+
+    @pytest.mark.parametrize(
+        "sigma", [[1, 2, 3], tuple(np.arange(1, 4)), np.arange(1, 4), (1.0, 2.0, 3.0), (True, 2, 3)]
+    )
+    def test_identity_chart_in_any_form_is_read_as_ints(self, sigma):
+        coords = FlagCoordinates((1, 1, 1), (np.zeros((2, 1)), np.zeros((1, 1))), (sigma, (1, 2)))
+        assert coords.charts == ((1, 2, 3), (1, 2))
+        assert all(type(s) is int for chart in coords.charts for s in chart)
 
     def test_validate_chart_matches_loop_reference(self):
         # every sequence over 1..n of length n (repeats included), every k
@@ -558,6 +567,13 @@ class TestSections:
             g = global_section(p)
             assert unitarity_defect(g) <= 1e-12
             assert frobenius(projector_of_unitary(g, k) - p) <= 1e-10
+
+    def test_global_and_local_sections_agree_on_lines(self):
+        # both read a line's cosine off np.abs of the frame's whole column
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            p = projector_of_unitary(haar_unitary(int(rng.integers(2, 12)), rng), 1)
+            assert np.array_equal(global_section(p), local_section(p, select_chart(p)))
 
 
 class TestSectionSvdCount:

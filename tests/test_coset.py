@@ -271,7 +271,7 @@ class TestFactoredSections:
         # rebuilds on coordinates whose factors are derived from X as well
         public = FlagCoordinates(coords.profile, coords.xs, coords.charts)
         assert np.max(np.abs(reconstruct_unitary(public, h) - dense_reconstruct(public, h))) <= 1e-12
-        identity = BlockDiagonalUnitary.identity(profile)
+        identity = BlockDiagonalUnitary(tuple(np.eye(k) for k in profile))
         assert np.max(np.abs(reconstruct_unitary(public) - dense_reconstruct(public, identity))) <= 1e-12
         return coords
 
@@ -612,7 +612,7 @@ class TestReconstruct:
     def test_profile_mismatch(self):
         coords = zero_coordinates((2, 2))
         with pytest.raises(ValidationError):
-            reconstruct_unitary(coords, BlockDiagonalUnitary.identity((1, 3)))
+            reconstruct_unitary(coords, BlockDiagonalUnitary(tuple(np.eye(k) for k in (1, 3))))
 
     @pytest.mark.parametrize("profile", [(1,) * 6, (3, 3), (2, 1, 3)] + PANEL_PROFILES)
     def test_public_coordinates_rebuild_from_x(self, profile):
@@ -622,7 +622,7 @@ class TestReconstruct:
         rng = np.random.default_rng(38)
         inputs = [haar_unitary(n, rng) for _ in range(5)]
         inputs += [swapped_unitary(rng)] if n == 6 else [sparse_unitary(n, rng) for _ in range(3)]
-        identity = BlockDiagonalUnitary.identity(profile)
+        identity = BlockDiagonalUnitary(tuple(np.eye(k) for k in profile))
         for g in inputs:
             coords, h = decompose_unitary(g, profile)
             public = FlagCoordinates(coords.profile, coords.xs, coords.charts)

@@ -221,7 +221,7 @@ class TestDeparametrize:
         params = deparametrize(np.eye(4) / 4)
         assert params.spectrum.profile == (4,)
         np.testing.assert_allclose(params.spectrum.lambdas, [0.25])
-        assert params.coords.num_levels == 0
+        assert len(params.coords.xs) == 0
 
     def test_roundtrip_parameters(self):
         rng = np.random.default_rng(4)

@@ -17,12 +17,14 @@ from flagparam import (
     Spectrum,
     ValidationError,
     ball_to_jarlskog,
+    chart_permutations,
     coordinates_distance,
     deparametrize,
     frame_of_unitary,
     haar_unitary,
     identity_chart,
     permutation_unitary,
+    projector_of_unitary,
     section_from_projective_factors,
     select_chart,
 )
@@ -40,6 +42,14 @@ UNREADABLE = [
     pytest.param(lambda: JarlskogLevel(0.1, "abc"), "BAD_SHAPE", id="zeta-str"),
     pytest.param(lambda: haar_unitary("x"), "BAD_DIMENSION", id="haar-str"),
     pytest.param(lambda: haar_unitary(None), "BAD_DIMENSION", id="haar-none"),
+    pytest.param(lambda: haar_unitary(2.5), "BAD_DIMENSION", id="haar-fraction"),
+    pytest.param(lambda: frame_of_unitary(np.eye(3), 1.5), "BAD_DIMENSION", id="frame-k-fraction"),
+    pytest.param(lambda: frame_of_unitary(np.eye(3), "x"), "BAD_DIMENSION", id="frame-k-str"),
+    pytest.param(lambda: projector_of_unitary(np.eye(3), 2.7), "BAD_DIMENSION", id="projector-k-fraction"),
+    pytest.param(lambda: chart_permutations(3, 1.5), "BAD_DIMENSION", id="permutations-k-fraction"),
+    pytest.param(lambda: permutation_unitary((1.5, 2.0)), "BAD_CHART", id="permutation-fraction"),
+    pytest.param(lambda: permutation_unitary(("a",)), "BAD_CHART", id="permutation-str"),
+    pytest.param(lambda: permutation_unitary([[1, "x"]]), "BAD_CHART", id="permutation-nested-str"),
     pytest.param(lambda: ball_to_jarlskog(np.zeros(0)), "BAD_SHAPE", id="jarlskog-empty"),
     pytest.param(lambda: ball_to_jarlskog("abc"), "BAD_SHAPE", id="jarlskog-str"),
     pytest.param(lambda: deparametrize("abc"), "BAD_SHAPE", id="deparametrize-str"),
@@ -50,8 +60,14 @@ UNREADABLE = [
 # one call per typed-error branch of charts, coset and linalg
 BRANCHES = [
     pytest.param(lambda: validate_chart((1, 2), 0), "BAD_CHART", id="chart-k"),
+    pytest.param(lambda: validate_chart((1, 2, 3), 4, 3), "BAD_CHART", id="chart-k-above"),
+    pytest.param(lambda: validate_chart((1, 2), 1, 3), "BAD_CHART", id="chart-identity-length"),
+    pytest.param(lambda: validate_chart((np.array([1, 2]), 3), 1, 3), "BAD_CHART", id="chart-array-entry"),
+    pytest.param(lambda: validate_chart((1.5, 2, 3), 1, 3), "BAD_CHART", id="chart-fraction"),
+    pytest.param(lambda: validate_chart((1, 2, 3), 1.5), "BAD_CHART", id="chart-k-fraction"),
     pytest.param(lambda: permutation_unitary((1, 1)), "BAD_CHART", id="permutation-repeat"),
     pytest.param(lambda: frame_of_unitary(np.eye(3), 0), "BAD_DIMENSION", id="frame-k"),
+    pytest.param(lambda: chart_permutations(3, 4), "BAD_DIMENSION", id="permutations-k"),
     pytest.param(lambda: select_chart(np.zeros((3, 3))), "NOT_PROJECTOR", id="projector-trace"),
     pytest.param(lambda: BlockDiagonalUnitary(()), "PROFILE_VALUES", id="blocks-empty"),
     pytest.param(lambda: section_from_projective_factors(np.eye(3)), "BAD_DIMENSION", id="projective-full"),

@@ -129,7 +129,7 @@ class TestParamsJSON:
         # the bound is checked before any n x n work, so MAX_N itself reads
         # back at once, and one more is refused with n in the message
         doc = {"profile": [MAX_N], "lambdas": [1.0 / MAX_N], "levels": []}
-        assert params_from_json(doc).spectrum.n == MAX_N
+        assert sum(params_from_json(doc).spectrum.profile) == MAX_N
         doc = {"profile": [MAX_N, 1], "lambdas": [0.5 / MAX_N, 0.5], "levels": []}
         with pytest.raises(ValidationError, match=f"n = {MAX_N + 1}") as err:
             params_from_json(doc)

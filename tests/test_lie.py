@@ -17,7 +17,7 @@ from flagparam import (
     hermitian_sqrt,
     sqrt_complement,
 )
-from flagparam.linalg import frobenius, hermiticity_defect, unitarity_defect
+from flagparam.linalg import frobenius, unitarity_defect
 from flagparam.sampling import random_ball_matrix
 
 
@@ -177,7 +177,7 @@ class TestSqrtComplement:
             direct = sqrt_complement(x)
             full = hermitian_sqrt(np.eye(k1) - x @ x.conj().T)
             assert frobenius(direct - full) <= 1e-10
-            assert hermiticity_defect(direct) <= 1e-13
+            assert frobenius(direct - direct.conj().T) <= 1e-13
 
     def test_boundary_accepted(self):
         rng = np.random.default_rng(9)
