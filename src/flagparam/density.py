@@ -141,12 +141,14 @@ def _clusters(w, gap_tol):
     """(profile, lambdas) of the decreasing eigenvalue array ``w``, in one pass over ``w.tolist()``.
 
     The first gap in the ambiguity band raises at once, a spread above
-    ``gap_tol`` only after the pass; one ``np.add.reduceat`` gives the means.
+    ``gap_tol`` only after the pass.  One ``np.add.reduceat`` gives the means;
+    a mean that rounds out of its cluster's range is clamped back into it.
     """
     vals = w.tolist()
     split = SPLIT_FACTOR * gap_tol
-    starts, spread, first = [0], 0.0, vals[0]
-    for i, (prev, cur) in enumerate(zip(vals, vals[1:]), 1):
+    starts, ranges = [0], []  # ranges: (cluster, last, first value) of clusters of two or more
+    # the sentinel -inf closes the last cluster and appends len(vals) to starts
+    for i, (prev, cur) in enumerate(zip(vals, vals[1:] + [-math.inf]), 1):
         gap = prev - cur
         if gap > gap_tol:
             if gap < split:
@@ -154,28 +156,29 @@ def _clusters(w, gap_tol):
                     f"eigenvalue gap {gap:.3e} inside ({gap_tol:.1e}, {split:.1e}): "
                     "clustering is unstable, pick a different gap_tol"
                 )
-            spread = max(spread, first - prev)
+            if i - starts[-1] > 1:
+                ranges.append((len(starts) - 1, prev, vals[starts[-1]]))
             starts.append(i)
-            first = cur
-    spread = max(spread, first - vals[-1])
+    spread = max((high - low for _, low, high in ranges), default=0.0)
     if spread > gap_tol:
         raise GapAmbiguityError(
             f"merged eigenvalues spread over {spread:.3e} > gap_tol={gap_tol:.1e}: "
             "clustering is unstable, pick a different gap_tol"
         )
-    bounds = starts + [len(vals)]
-    profile = tuple(b - a for a, b in zip(starts, bounds[1:]))
-    return profile, tuple((np.add.reduceat(w, starts) / profile).tolist())
+    profile = tuple(b - a for a, b in zip(starts, starts[1:]))
+    means = (np.add.reduceat(w, starts[:-1]) / profile).tolist()
+    for j, low, high in ranges:
+        means[j] = min(max(means[j], low), high)
+    return profile, tuple(means)
 
 
 def parameter_count(profile) -> int:
     """Number of independent real parameters for a profile.
 
     m - 1 from the spectrum (simplex interior) plus twice the sum of the
-    pairwise multiplicity products from the flag manifold.  For the
-    non-degenerate profile (1, ..., 1) on n levels this is n^2 - 1.
+    pairwise multiplicity products, n^2 - sum_j k_j^2, from the flag manifold.
+    For the non-degenerate profile (1, ..., 1) on n levels this is n^2 - 1.
     """
     ks = validate_profile(profile)
-    m = len(ks)
-    cross = sum(ks[i] * ks[j] for i in range(m) for j in range(i + 1, m))
-    return (m - 1) + 2 * cross
+    n = sum(ks)
+    return (len(ks) - 1) + n * n - sum(k * k for k in ks)

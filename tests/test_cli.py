@@ -208,6 +208,18 @@ class TestRhoToParam:
         assert r.returncode == 0
         assert json.loads(r.stdout)["profile"] == [2, 2]
 
+    def test_tied_cluster_mean_stays_in_its_cluster(self):
+        # the mean of three copies of a rounds down onto b = nextafter(a, 0);
+        # clamped back to a, the values stay strictly decreasing
+        a = 0.20924042183036357
+        b = float(np.nextafter(a, 0.0))
+        rho = np.diag([a, a, a, b, 1.0 - 3 * a - b])
+        r = run_cli(["rho-to-param", "--gap-tol", "0"], json.dumps(matrix_to_json(rho)))
+        assert r.returncode == 0
+        doc = json.loads(r.stdout)
+        assert doc["profile"] == [3, 1, 1]
+        assert doc["lambdas"][0] > doc["lambdas"][1] > doc["lambdas"][2]
+
     def test_close_spectrum_roundtrip(self):
         # gap_tol only clusters: parameters extracted with a small --gap-tol
         # rebuild rho without one, as their eigenvalues strictly decrease

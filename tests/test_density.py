@@ -166,22 +166,44 @@ class TestRandomSpectrum:
 
 
 class TestRandomDensityParameters:
-    @pytest.mark.parametrize("n,samples", [(316, True), (317, False)])
+    @pytest.mark.parametrize("n,samples", [(446, True), (448, False)])
     def test_largest_sampled_n(self, n, samples, monkeypatch):
-        # half the largest feasible gap, 1 / (n (n - 1)), first drops below
-        # SPLIT_FACTOR * GAP_TOL at n = 317; random_spectrum is stubbed, so
-        # nothing is drawn
+        # the largest feasible gap, 2 / (n (n - 1)), first drops below
+        # SPLIT_FACTOR * GAP_TOL at n = 448; the stub stops random_spectrum's
+        # output before the Haar unitary is drawn, and random_spectrum itself
+        # refuses an infeasible gap before it draws anything
         from flagparam import sampling
+
+        real = sampling.random_spectrum
 
         def stub(profile, rng, min_gap):
             assert min_gap >= SPLIT_FACTOR * GAP_TOL
+            real(profile, rng, min_gap)
             raise ValidationError("stub sampler reached", code="STUB")
 
         monkeypatch.setattr(sampling, "random_spectrum", stub)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValidationError) as exc:
-            random_density_parameters((1,) * n, np.random.default_rng(0))
+            random_density_parameters((1,) * n, rng)
         assert exc.value.code == ("STUB" if samples else "SPECTRUM_SAMPLING")
         assert len(str(exc.value)) < 200
+        if not samples:  # refused before any draw, naming n and m
+            assert rng.bit_generator.state == state
+            assert f"n={n} and m={n}" in str(exc.value)
+
+    def test_sampled_past_half_gap_rule(self):
+        # at n = 317 half the largest feasible gap, 9.98e-6, is below
+        # SPLIT_FACTOR * GAP_TOL, but gaps just above 1e-5 are feasible
+        n = 317
+        params = random_density_parameters((1,) * n, np.random.default_rng(n))
+        lam = np.array(params.spectrum.lambdas)
+        assert np.min(lam[:-1] - lam[1:]) > SPLIT_FACTOR * GAP_TOL
+        rho = parametrize(params)
+        back = deparametrize(rho)
+        assert back.spectrum.profile == (1,) * n
+        assert max(abs(a - b) for a, b in zip(back.spectrum.lambdas, params.spectrum.lambdas)) <= 1e-10
+        assert frobenius(parametrize(back) - rho) <= 1e-10
 
     @pytest.mark.parametrize("n", [46, 64, 256])
     def test_large_nondegenerate(self, n):
@@ -301,6 +323,19 @@ class TestDeparametrize:
     def test_zero_gap_tol_splits_distinct_values(self):
         params = deparametrize(diag_density(0.5, 0.25, 0.25, 0.0), gap_tol=0.0)
         assert params.spectrum.profile == (1, 2, 1)
+
+    def test_tied_cluster_mean_stays_in_its_cluster(self):
+        # the mean of three copies of a rounds down onto b = nextafter(a, 0)
+        a = 0.20924042183036357
+        b = np.nextafter(a, 0.0)
+        w = np.array([a, a, a, b, 1.0 - 3 * a - b])
+        assert np.add.reduceat(w, [0, 3])[0] / 3 == b  # the raw mean leaves [a, a]
+        profile, lambdas = _clusters(w, 0.0)
+        assert profile == (3, 1, 1)
+        assert lambdas[:2] == (a, b)
+        params = deparametrize(np.diag(w).astype(complex), gap_tol=0.0)
+        assert params.spectrum.profile == (3, 1, 1)
+        assert params.spectrum.lambdas[0] > params.spectrum.lambdas[1] > params.spectrum.lambdas[2]
 
     def test_spectrum_invariance_under_conjugation(self):
         rng = np.random.default_rng(6)
@@ -455,3 +490,10 @@ class TestParameterCount:
         n = sum(ks)
         expected = (len(ks) - 1) + n * n - sum(k * k for k in ks)
         assert parameter_count(tuple(ks)) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 1024])
+    def test_matches_pairwise_sum(self, m):
+        # the O(m^2) pairwise sum as the reference, on seeded profiles
+        ks = np.random.default_rng(m).integers(1, 6, m).tolist()
+        cross = sum(ks[i] * ks[j] for i in range(m) for j in range(i + 1, m))
+        assert parameter_count(tuple(ks)) == (m - 1) + 2 * cross
