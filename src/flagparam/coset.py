@@ -83,6 +83,17 @@ def _unchecked(cls, **values):
     return obj
 
 
+def _read_chart(sigma, k, n):
+    """validate_chart(sigma, k, n), with a tuple of Python ints equal to the identity returned as it is.
+
+    The type guard keeps ``==`` from reading anything else, such as a
+    one-element array entry, as its value; every other chart is validated.
+    """
+    if type(sigma) is tuple and set(map(type, sigma)) == {int} and sigma == identity_chart(n):
+        return sigma
+    return validate_chart(sigma, k, n)
+
+
 @dataclass(frozen=True, eq=False)
 class FlagCoordinates:
     """Chart data of a point of the flag manifold for a given profile.
@@ -117,7 +128,7 @@ class FlagCoordinates:
                 f"got {len(xs)} coordinates and {len(charts)} charts",
                 code="PROFILE_SUM",
             )
-        charts = tuple(validate_chart(sigma, kj, nj) for (nj, kj), sigma in zip(dims, charts))
+        charts = tuple(_read_chart(sigma, kj, nj) for (nj, kj), sigma in zip(dims, charts))
         tall = {}  # width k -> the levels with k <= r, which share one batched eigh
         for i, ((nj, kj), x) in enumerate(zip(dims, xs)):
             if x.shape != (nj - kj, kj):

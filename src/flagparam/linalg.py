@@ -103,7 +103,7 @@ def read_int(value, code, what):
 def require_tol(value, name):
     """value as a float; raises ``BAD_TOL`` unless it is a finite, nonnegative number."""
     tol = read_as(float, value, "BAD_TOL", f"{name} must be a number")
-    if not (np.isfinite(tol) and tol >= 0.0):
+    if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"{name} must be finite and >= 0, got {tol!r}", code="BAD_TOL")
     return tol
 
@@ -257,9 +257,18 @@ def gram_eighs(xs):
 
 
 def gram_eigh(x):
-    """(S, Q) of :func:`gram_eighs` for one matrix."""
-    (s,), (q,) = gram_eighs((x,))
-    return s, q
+    """(S, Q) of :func:`gram_eighs` for one matrix.
+
+    The one Gram matrix goes to ``eigh`` as it is, without a stack; only a
+    Gram matrix that overflows takes :func:`gram_eighs`'s rescaled path.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gram(x)
+    if not np.isfinite(g).all():
+        (s,), (q,) = gram_eighs((x,))
+        return s, q
+    w, q = np.linalg.eigh(g)
+    return np.sqrt(np.maximum(w, 0.0)), q
 
 
 def gram_function(x, q, d):

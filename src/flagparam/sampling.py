@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import haar_unitary
+from .linalg import haar_unitary, require_tol
 from .charts import identity_chart
 from .coset import BlockDiagonalUnitary, FlagCoordinates, _peel, level_dimensions, validate_profile
 from .density import GAP_TOL, SPLIT_FACTOR, DensityParameters, Spectrum
@@ -38,9 +38,12 @@ def random_spectrum(profile, rng, min_gap=MIN_SPECTRUM_GAP):
     fill {d >= 0, sum_j K_j d_j = R}, K_j = k_1 + ... + k_j and
     R = 1 - min_gap * sum_j k_j (m - j): a scaled simplex, which one
     Dirichlet(1) draw covers uniformly.  Raises ``SPECTRUM_SAMPLING`` before
-    any draw when R <= 0: the one refusal of an infeasible gap.
+    any draw when R <= 0: the one refusal of an infeasible gap.  ``min_gap``
+    is read by :func:`~flagparam.linalg.require_tol`: one that is not a
+    finite, nonnegative number raises ``BAD_TOL``, also before any draw.
     """
     ks = validate_profile(profile)
+    min_gap = require_tol(min_gap, "min_gap")
     rng = np.random.default_rng(rng)
     karr, steps, budget = _gap_budget(ks)
     room = 1.0 - min_gap * budget

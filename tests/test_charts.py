@@ -104,6 +104,31 @@ class TestPermutations:
         assert coords.charts == ((1, 2, 3), (1, 2))
         assert all(type(s) is int for chart in coords.charts for s in chart)
 
+    @pytest.mark.parametrize("sigma", [(np.array([1]), 2, 3), (1, np.array([2]), 3)])
+    def test_array_entry_is_refused_by_both_readers(self, sigma):
+        # a one-element array entry equals its value under ==, but is no chart entry
+        for read in (
+            lambda: validate_chart(sigma, 1, 3),
+            lambda: FlagCoordinates((2, 1), (np.zeros((2, 1)),), (sigma,)),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                read()
+            assert exc.value.code == "BAD_CHART"
+
+    @pytest.mark.parametrize("sigma", [(1, 2, 3), (1, 3, 2), (2, 3, 1)])
+    def test_chart_tuple_subclass_is_read_as_plain_tuple(self, sigma):
+        class Chart(tuple):
+            pass
+
+        for read in (
+            lambda c: validate_chart(c, 1, 3),
+            lambda c: FlagCoordinates((2, 1), (np.zeros((2, 1)),), (c,)).charts[0],
+        ):
+            for chart in (sigma, Chart(sigma)):
+                out = read(chart)
+                assert out == sigma and type(out) is tuple
+                assert all(type(s) is int for s in out)
+
     def test_validate_chart_matches_loop_reference(self):
         # every sequence over 1..n of length n (repeats included), every k
         def reference(sigma, k):

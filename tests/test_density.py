@@ -150,6 +150,18 @@ class TestRandomSpectrum:
         assert "n=256" in message and "m=256" in message and "3.06373e-05" in message
         assert len(message) < 200
 
+    @pytest.mark.parametrize("min_gap", [-0.5, np.nan, np.inf, "x"])
+    def test_bad_gap_is_refused_before_any_draw(self, min_gap):
+        # -0.5 used to widen the region past ordered spectra, nan and inf to
+        # fail later under other codes, and "x" to escape as a TypeError
+        rng = np.random.default_rng(45)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError) as exc:
+            random_spectrum((1, 1, 1), rng, min_gap)
+        assert exc.value.code == "BAD_TOL"
+        assert "min_gap" in str(exc.value)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("profile", [(3, 1), (1, 2, 1), (1, 1, 1, 1)])
     def test_law_matches_rejection_sampler(self, profile):
         # the same uniform law on the region, without rejection

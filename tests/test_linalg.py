@@ -298,13 +298,22 @@ class TestGramRoute:
             assert c[0] == np.sqrt((1.0 - x) * (1.0 + x))
 
     def test_batch_matches_single_calls(self):
+        # tall, wide, square, all-zero and edge-spectrum X: gram_eigh hands its
+        # one Gram matrix to eigh unstacked, and agrees bit for bit with a batch
+        # of one and with its row in a mixed batch, also one that an
+        # overflowing X rescales as a whole
         rng = np.random.default_rng(51)
-        xs = [random_complex(rng, r, 3) for r in (3, 5, 9, 17)]
-        xs.append(matrix_with_singular_values(rng, 6, 3, EDGE_SPECTRA[3]))
-        batch_s, batch_q = gram_eighs(xs)
-        for x, s, q in zip(xs, batch_s, batch_q, strict=True):
-            single_s, single_q = gram_eigh(x)
-            assert np.array_equal(s, single_s) and np.array_equal(q, single_q)
+        for p in (1, 3):
+            xs = [random_complex(rng, r, p) for r in (p, p + 2, 9, 17)]
+            xs += [random_complex(rng, p, p + 4), np.zeros((p + 1, p), dtype=complex)]
+            xs.append(matrix_with_singular_values(rng, 6, p, EDGE_SPECTRA[3]))
+            overflowing = 1e200 * random_complex(rng, p + 2, p)
+            for batch in (xs, [*xs, overflowing]):
+                for x, row_s, row_q in zip(batch, *gram_eighs(batch), strict=True):
+                    s, q = gram_eigh(x)
+                    (one_s,), (one_q,) = gram_eighs([x])
+                    assert np.array_equal(s, one_s) and np.array_equal(q, one_q)
+                    assert np.array_equal(s, row_s) and np.array_equal(q, row_q)
 
     @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
     @pytest.mark.parametrize("shape", [(3, 2), (1, 1), (2, 3)])
