@@ -516,3 +516,41 @@ class TestVerify:
             "lie",
             "jarlskog",
         }
+
+    @pytest.mark.parametrize(
+        "suite, module, name, nan, failing",
+        [
+            (
+                "unitarity",
+                "charts",
+                "ball_unitary",
+                lambda x: np.full((sum(x.shape),) * 2, np.nan),
+                {"ball_unitary_unitary_on_closed_ball"},
+            ),
+            (
+                "sections",
+                "coset",
+                "coordinates_distance",
+                lambda a, b: float("nan"),
+                {"coset_invariance", "flag_section_invariance"},
+            ),
+        ],
+        ids=["ball_unitary", "coordinates_distance"],
+    )
+    def test_nan_residual_fails(self, suite, module, name, nan, failing, tmp_path, monkeypatch):
+        # a map under test that returns NaN: its properties report the NaN as
+        # their maximum and fail, and the command exits 1
+        import importlib
+        import math
+
+        from flagparam import cli
+
+        monkeypatch.setattr(importlib.import_module(f"flagparam.{module}"), name, nan)
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 1
+        (report,) = json.loads(out.read_text())["suites"]
+        props = {p["property"]: p for p in report["properties"]}
+        assert failing <= set(props)
+        for prop in props.values():
+            assert math.isnan(prop["max_residual"]) is (prop["property"] in failing)
+            assert prop["pass"] is (prop["property"] not in failing)
