@@ -470,10 +470,9 @@ class JarlskogLevel:
         if zeta.size < 1:
             raise ValidationError("zeta must be nonempty", code="BAD_SHAPE")
         # written so that a NaN norm fails it too
-        if not abs(np.linalg.norm(zeta) - 1.0) <= 1e-12:
-            raise ValidationError(
-                f"zeta norm {np.linalg.norm(zeta):.15f} != 1", code="ZETA_NORM"
-            )
+        nrm = frobenius(zeta)
+        if not abs(nrm - 1.0) <= 1e-12:
+            raise ValidationError(f"zeta norm {nrm:.15f} != 1", code="ZETA_NORM")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "zeta", zeta)
 
@@ -492,7 +491,7 @@ def ball_to_jarlskog(x):
     x = _complex_array(x).reshape(-1)
     if x.size < 1:
         raise ValidationError("x must be nonempty", code="BAD_SHAPE")
-    nrm = float(np.linalg.norm(x))
+    nrm = frobenius(x)
     if nrm >= 1.0:
         raise ValidationError(f"vector norm {nrm:.6f} >= 1", code="BALL_NORM")
     if nrm == 0.0:

@@ -22,7 +22,8 @@ from flagparam import (
     parametrize,
     require_density,
 )
-from flagparam.density import GAP_TOL, SPLIT_FACTOR, _clusters
+from flagparam.density import GAP_TOL, SPLIT_FACTOR, TRACE_TOL, _clusters
+from flagparam.iojson import params_from_json, params_to_json
 from flagparam.linalg import frobenius
 from flagparam.sampling import (
     random_block_diagonal,
@@ -348,6 +349,22 @@ class TestDeparametrize:
         params = deparametrize(np.diag(w).astype(complex), gap_tol=0.0)
         assert params.spectrum.profile == (3, 1, 1)
         assert params.spectrum.lambdas[0] > params.spectrum.lambdas[1] > params.spectrum.lambdas[2]
+
+    @pytest.mark.parametrize("seed, offset", [(2, -1e-12), (3, -1e-12), (15, 1e-12)])
+    def test_trace_within_tolerance_is_divided_out(self, seed, offset):
+        # a trace 1e-12 from 1 passes the trace check; undivided, these
+        # cluster means weighed 1 - 1.0e-12 or 1 + 1.0e-12 and Spectrum
+        # refused them with LAMBDA_SUM
+        rng = np.random.default_rng(seed)
+        lam = rng.dirichlet(np.ones(64))
+        u = haar_unitary(64, rng)
+        rho = (u * lam) @ u.conj().T
+        rho *= (1.0 + offset) / np.trace(rho).real
+        assert abs(np.trace(rho).real - 1.0) <= TRACE_TOL
+        params = deparametrize(rho, gap_tol=0.0)
+        assert params.spectrum.profile == (1,) * 64
+        back = params_from_json(params_to_json(params))
+        assert frobenius(parametrize(back) - rho / np.trace(rho).real) <= 1e-12
 
     def test_spectrum_invariance_under_conjugation(self):
         rng = np.random.default_rng(6)

@@ -75,6 +75,9 @@ BRANCHES = [
     pytest.param(lambda: as_matrix(np.zeros((2, 2, 2))), "BAD_SHAPE", id="matrix-ndim"),
     pytest.param(lambda: as_square([[np.inf]]), "NOT_FINITE", id="square-inf"),
     pytest.param(lambda: haar_unitary(0), "BAD_DIMENSION", id="haar-zero"),
+    # norms that overflow to inf, read without an overflow warning
+    pytest.param(lambda: ball_to_jarlskog(np.array([1e200, 1.0])), "BALL_NORM", id="jarlskog-overflow"),
+    pytest.param(lambda: JarlskogLevel(0.1, np.array([1e200, 1.0])), "ZETA_NORM", id="zeta-overflow"),
 ]
 
 
