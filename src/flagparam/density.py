@@ -125,9 +125,9 @@ def deparametrize(rho, gap_tol=GAP_TOL):
     ``gap_tol``, raises :class:`GapAmbiguityError`: the multiplicity profile
     would be unstable at that tolerance.  A ``gap_tol`` that is negative or
     not finite raises ``BAD_TOL``.  A trace within ``TRACE_TOL`` of 1 is
-    accepted and divided out before the eigendecomposition.  The eigenvector unitary is then peeled
-    over the detected profile; its block-diagonal residue is commutant
-    freedom and is never formed.
+    accepted and divided out before the eigendecomposition.  The eigenvector
+    unitary is then peeled over the detected profile; its block-diagonal
+    residue is commutant freedom and is never formed.
     """
     gap_tol = require_tol(gap_tol, "gap_tol")
     h = _hermitian_unit_trace(rho, EPS_HERMITIAN, TRACE_TOL)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from flagparam import errors
+from flagparam import charts, coset, errors
 from flagparam.density import GAP_TOL
 from flagparam.iojson import matrix_from_json, matrix_to_json
 
@@ -522,14 +522,14 @@ class TestVerify:
         [
             (
                 "unitarity",
-                "charts",
+                charts,
                 "ball_unitary",
                 lambda x: np.full((sum(x.shape),) * 2, np.nan),
                 {"ball_unitary_unitary_on_closed_ball"},
             ),
             (
                 "sections",
-                "coset",
+                coset,
                 "coordinates_distance",
                 lambda a, b: float("nan"),
                 {"coset_invariance", "flag_section_invariance"},
@@ -540,12 +540,11 @@ class TestVerify:
     def test_nan_residual_fails(self, suite, module, name, nan, failing, tmp_path, monkeypatch):
         # a map under test that returns NaN: its properties report the NaN as
         # their maximum and fail, and the command exits 1
-        import importlib
         import math
 
         from flagparam import cli
 
-        monkeypatch.setattr(importlib.import_module(f"flagparam.{module}"), name, nan)
+        monkeypatch.setattr(module, name, nan)
         out = tmp_path / "report.json"
         assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 1
         (report,) = json.loads(out.read_text())["suites"]

@@ -352,9 +352,9 @@ class TestDeparametrize:
 
     @pytest.mark.parametrize("seed, offset", [(2, -1e-12), (3, -1e-12), (15, 1e-12)])
     def test_trace_within_tolerance_is_divided_out(self, seed, offset):
-        # a trace 1e-12 from 1 passes the trace check; undivided, these
-        # cluster means weighed 1 - 1.0e-12 or 1 + 1.0e-12 and Spectrum
-        # refused them with LAMBDA_SUM
+        # a trace 1e-12 from 1 passes the trace check; with the trace left
+        # in, these cluster means weighed 1e-12 and a few ulps from 1, and
+        # Spectrum refused them with LAMBDA_SUM
         rng = np.random.default_rng(seed)
         lam = rng.dirichlet(np.ones(64))
         u = haar_unitary(64, rng)
