@@ -77,6 +77,7 @@ def suite_unitarity(seed=DEFAULT_SEED):
     def haar():
         return defect(haar_unitary(int(rng.integers(1, 9)), rng))
 
+    # a generator: it draws only as its property consumes it, after the two above
     exp_defects = (defect(lie.exp_generator(b)) for b in _ball_draws(rng, 100, 5.0))
     return [
         _prop("ball_unitary_unitary_on_closed_ball", map(closed_ball, range(500)), 1e-12),
@@ -86,7 +87,7 @@ def suite_unitarity(seed=DEFAULT_SEED):
 
 
 def _decompose_residual(g, profile, public=False):
-    """||reconstruct(decompose(g)) - g||_F; from the public form (X and charts only) if ``public``."""
+    """||reconstruct(decompose(g)) - g||_F, from the public form (X, charts) if ``public``."""
     coords, h = coset.decompose_unitary(g, profile)
     if public:
         coords = coset.FlagCoordinates(coords.profile, coords.xs, coords.charts)
@@ -94,11 +95,8 @@ def _decompose_residual(g, profile, public=False):
 
 
 def _near_boundary_residuals(rng, margins, public=False):
-    """:func:`_decompose_residual` of one unitary per margin, each drawn as it is consumed.
-
-    The unitary's identity-chart block at a random profile (r, k) has
-    smallest singular value ``margin``.
-    """
+    """:func:`_decompose_residual` of one unitary per margin, drawn as it is consumed, whose
+    identity-chart block at a random profile (r, k) has smallest singular value ``margin``."""
     for margin in margins:
         n, k = _random_dims(rng, 8)
         r, p = n - k, min(n - k, k)
@@ -135,6 +133,7 @@ def suite_roundtrip(seed=DEFAULT_SEED):
 
     ball, point = zip(*(chart_roundtrip() for _ in range(200)))
     densities = _each([(3, 1), (2, 2), (2, 1, 1)], 10)
+    # generators: each draws only as its property consumes it, in list order
     near = _near_boundary_residuals(rng, [10.0 ** -e for e in (4, 5, 6, 7)] * 15)
     # rebuilt from the public form (X and chart only), as JSON round trips do
     public = _near_boundary_residuals(rng, [1e-4, 1e-5, 1e-6, 1e-7, 1.5 * RANK_TOL] * 12, True)
