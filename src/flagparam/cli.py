@@ -30,9 +30,9 @@ import numpy as np
 
 from . import iojson, verify
 from .coset import _peel, reconstruct_unitary, validate_profile
-from .density import GAP_TOL, TRACE_TOL, _hermitian_unit_trace, deparametrize, parametrize
+from .density import GAP_TOL, TRACE_TOL, _deparametrize, _hermitian_unit_trace, parametrize
 from .errors import FlagparamError, ValidationError
-from .linalg import EPS_HERMITIAN, EPS_UNITARY, as_square, frobenius, require_tol, unitarity_defect
+from .linalg import EPS_HERMITIAN, EPS_UNITARY, _unitary_within, as_square, frobenius, require_tol
 from .sampling import random_density_parameters
 
 EXIT_OK = 0
@@ -69,25 +69,16 @@ def cmd_param_to_rho(args):
 
 def cmd_rho_to_param(args):
     rho = iojson.matrix_from_json(_read_doc(args))
-    # Hermiticity and trace at the CLI tolerances; the PSD check runs on
-    # deparametrize's own eigh, so rho is factored once
+    # deparametrize with its checks at the CLI tolerances, each run once
     h = _hermitian_unit_trace(rho, _env_tol(EPS_HERMITIAN), _env_tol(TRACE_TOL))
-    # accepted within tolerance: hand the exactly normalized matrix on
-    h = h / float(np.trace(h).real)
-    params = deparametrize(h, gap_tol=args.gap_tol)
+    params = _deparametrize(h, require_tol(args.gap_tol, "gap_tol"))
     _write_doc(iojson.params_to_json(params), args)
     return EXIT_OK
 
 
 def cmd_decompose_unitary(args):
     g = as_square(iojson.matrix_from_json(_read_doc(args)))
-    tol = _env_tol(EPS_UNITARY)
-    defect = unitarity_defect(g)
-    if defect > tol:
-        raise ValidationError(
-            f"matrix is not unitary: defect {defect:.3e} > {tol:.3e}", code="NOT_UNITARY"
-        )
-    if defect > EPS_UNITARY:
+    if _unitary_within(g, _env_tol(EPS_UNITARY)) > EPS_UNITARY:
         # accepted under a loosened tolerance: decompose the closest unitary
         w, _, vh = np.linalg.svd(g)
         g = w @ vh

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GapAmbiguityError, ValidationError
 from .linalg import EPS_HERMITIAN, PSD_TOL, hermitian_mean, hermitian_part, read_as, require_tol
-from .coset import FlagCoordinates, _peel, flag_section, validate_profile
+from .coset import FlagCoordinates, _peel, _unchecked, flag_section, validate_profile
 
 GAP_TOL = 1e-6  # default eigenvalue clustering threshold
 SPLIT_FACTOR = 10.0  # a gap of at least SPLIT_FACTOR * gap_tol splits a cluster
@@ -94,11 +94,17 @@ def parametrize(params: DensityParameters):
 
 
 def _hermitian_unit_trace(rho, herm_tol, trace_tol):
-    """Symmetrized input after the Hermiticity and unit-trace checks."""
+    """Symmetrized input after the Hermiticity and unit-trace checks, divided by its trace.
+
+    The one acceptance check of a density input, short of the PSD test:
+    the library runs it at the default tolerances, ``rho-to-param`` at
+    ``FLAGPARAM_TOL``.
+    """
     h = hermitian_part(rho, herm_tol)
     trace = float(h.trace().real)
     if abs(trace - 1.0) > trace_tol:
         raise ValidationError(f"trace {trace!r} != 1", code="BAD_TRACE")
+    h /= trace  # so that the cluster means weigh 1 to rounding
     return h
 
 
@@ -110,7 +116,10 @@ def _require_psd(w):
 
 
 def require_density(rho):
-    """Validate a density matrix: Hermitian, PSD within tolerance, unit trace."""
+    """Validate a density matrix: Hermitian, PSD within tolerance, unit trace.
+
+    Returns the symmetrized matrix divided by its trace.
+    """
     h = _hermitian_unit_trace(rho, EPS_HERMITIAN, TRACE_TOL)
     _require_psd(np.linalg.eigvalsh(h))
     return h
@@ -130,13 +139,21 @@ def deparametrize(rho, gap_tol=GAP_TOL):
     residue is commutant freedom and is never formed.
     """
     gap_tol = require_tol(gap_tol, "gap_tol")
-    h = _hermitian_unit_trace(rho, EPS_HERMITIAN, TRACE_TOL)
-    h /= h.trace().real  # so that the cluster means weigh 1 to rounding
+    return _deparametrize(_hermitian_unit_trace(rho, EPS_HERMITIAN, TRACE_TOL), gap_tol)
+
+
+def _deparametrize(h, gap_tol):
+    """:func:`deparametrize` of a matrix from :func:`_hermitian_unit_trace`, at a checked ``gap_tol``.
+
+    The spectrum and parameters are built unchecked: the clustering gives
+    a strictly decreasing spectrum of unit weight, and the peel its profile.
+    """
     w, v = np.linalg.eigh(h)
     _require_psd(w)
     profile, lambdas = _clusters(w[::-1], gap_tol)
     coords, _ = _peel(v[:, ::-1], profile)
-    return DensityParameters(Spectrum(profile, lambdas), coords)
+    spectrum = _unchecked(Spectrum, profile=profile, lambdas=lambdas)
+    return _unchecked(DensityParameters, spectrum=spectrum, coords=coords)
 
 
 def _clusters(w, gap_tol):

@@ -126,7 +126,8 @@ def params_from_json(doc) -> DensityParameters:
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # JSON has no NaN or Infinity: a non-finite float is a fault, not output
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def loads(text):

@@ -3,8 +3,11 @@
 Everything here works on plain ``numpy`` arrays (``complex128``) and is a
 pure function of its inputs: no global state, safe for concurrent use.
 The module-level constants are the package's tolerances; only
-``hermitian_part`` takes its bound as an argument, as its callers check
-density inputs and projectors at different tolerances.
+``hermitian_part`` and the unitarity check ``_unitary_within`` take
+their bounds as arguments: density inputs and projectors are checked at
+different tolerances, and ``require_unitary`` and the CLI's
+``decompose-unitary`` share the one unitarity check, the CLI at its
+``FLAGPARAM_TOL`` bound.
 
 Matrix functions of a rectangular X (the square roots of a ball
 coordinate, the blocks of a generator's exponential) are scalar functions
@@ -108,13 +111,19 @@ def require_tol(value, name):
     return tol
 
 
+def _unitary_within(g, tol):
+    """The unitarity defect of a square matrix g; one above ``tol`` raises ``NOT_UNITARY``."""
+    defect = unitarity_defect(g)
+    if defect > tol:
+        raise ValidationError(
+            f"matrix is not unitary: defect {defect:.3e} > {tol:.3e}", code="NOT_UNITARY"
+        )
+    return defect
+
+
 def require_unitary(g):
     g = as_square(g)
-    defect = unitarity_defect(g)
-    if defect > EPS_UNITARY:
-        raise ValidationError(
-            f"matrix is not unitary: defect {defect:.3e} > {EPS_UNITARY:.3e}", code="NOT_UNITARY"
-        )
+    _unitary_within(g, EPS_UNITARY)
     return g
 
 

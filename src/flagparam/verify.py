@@ -9,6 +9,8 @@ each property's draws come after those of the properties listed before it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import charts, coset, density, lie, linalg
@@ -29,14 +31,16 @@ def _prop(name, residuals, tolerance):
     """A property's report from its residuals, an iterable consumed in draw order.
 
     ``count`` is how many it yields and ``max_residual`` their ``np.max``,
-    so a NaN residual is the maximum and fails.
+    so a NaN residual is the maximum and fails.  A maximum that is not
+    finite is written as the string ``"nan"`` or ``"inf"``, which JSON can
+    carry.
     """
     residuals = np.fromiter(residuals, dtype=float)
     worst = float(np.max(residuals))
     return {
         "property": name,
         "count": residuals.size,
-        "max_residual": worst,
+        "max_residual": worst if math.isfinite(worst) else repr(worst),
         "tolerance": float(tolerance),
         "pass": bool(worst <= tolerance),
     }

@@ -539,17 +539,19 @@ class TestVerify:
     )
     def test_nan_residual_fails(self, suite, module, name, nan, failing, tmp_path, monkeypatch):
         # a map under test that returns NaN: its properties report the NaN as
-        # their maximum and fail, and the command exits 1
-        import math
-
+        # their maximum, written as the string "nan", and fail, and the
+        # command exits 1 with a report that a strict JSON parser reads
         from flagparam import cli
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
 
         monkeypatch.setattr(module, name, nan)
         out = tmp_path / "report.json"
         assert cli.main(["verify", "--suite", suite, "--out", str(out)]) == 1
-        (report,) = json.loads(out.read_text())["suites"]
+        (report,) = json.loads(out.read_text(), parse_constant=refuse)["suites"]
         props = {p["property"]: p for p in report["properties"]}
         assert failing <= set(props)
         for prop in props.values():
-            assert math.isnan(prop["max_residual"]) is (prop["property"] in failing)
+            assert (prop["max_residual"] == "nan") is (prop["property"] in failing)
             assert prop["pass"] is (prop["property"] not in failing)
