@@ -146,7 +146,8 @@ def _deparametrize(h, gap_tol):
     """:func:`deparametrize` of a matrix from :func:`_hermitian_unit_trace`, at a checked ``gap_tol``.
 
     The spectrum and parameters are built unchecked: the clustering gives
-    a strictly decreasing spectrum of unit weight, and the peel its profile.
+    strictly decreasing values of unit weight, and the peel coordinates
+    over the same profile.
     """
     w, v = np.linalg.eigh(h)
     _require_psd(w)

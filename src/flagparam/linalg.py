@@ -3,11 +3,9 @@
 Everything here works on plain ``numpy`` arrays (``complex128``) and is a
 pure function of its inputs: no global state, safe for concurrent use.
 The module-level constants are the package's tolerances; only
-``hermitian_part`` and the unitarity check ``_unitary_within`` take
-their bounds as arguments: density inputs and projectors are checked at
-different tolerances, and ``require_unitary`` and the CLI's
-``decompose-unitary`` share the one unitarity check, the CLI at its
-``FLAGPARAM_TOL`` bound.
+``hermitian_part`` and ``_unitary_within``, the one unitarity check of
+``require_unitary`` and the CLI's ``decompose-unitary``, take their bounds
+as arguments, as their callers check at different tolerances.
 
 Matrix functions of a rectangular X (the square roots of a ball
 coordinate, the blocks of a generator's exponential) are scalar functions

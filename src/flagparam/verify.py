@@ -9,8 +9,6 @@ each property's draws come after those of the properties listed before it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import charts, coset, density, lie, linalg
@@ -40,7 +38,7 @@ def _prop(name, residuals, tolerance):
     return {
         "property": name,
         "count": residuals.size,
-        "max_residual": worst if math.isfinite(worst) else repr(worst),
+        "max_residual": worst if np.isfinite(worst) else repr(worst),
         "tolerance": float(tolerance),
         "pass": bool(worst <= tolerance),
     }

@@ -232,6 +232,55 @@ class TestRhoToParam:
         assert np.abs(matrix_from_json(json.loads(back.stdout)) - rho).max() <= 1e-12
 
 
+class TestRhoToParamChecksOnce:
+    """rho-to-param runs the density check once, at FLAGPARAM_TOL, and divides by the trace once."""
+
+    @staticmethod
+    def density(trace):
+        from flagparam import haar_unitary
+
+        lam = np.array([0.4, 0.3, 0.2, 0.1])
+        u = haar_unitary(4, 39)
+        rho = (u * lam) @ u.conj().T
+        return rho * (trace / np.trace(rho).real)
+
+    def run(self, rho, tmp_path):
+        from flagparam import cli
+
+        infile, outfile = tmp_path / "rho.json", tmp_path / "out.json"
+        infile.write_text(json.dumps(matrix_to_json(rho)))
+        rc = cli.main(["rho-to-param", "--in", str(infile), "--out", str(outfile)])
+        return rc, json.loads(outfile.read_text())
+
+    def test_one_check_within_tolerance(self, tmp_path, monkeypatch):
+        from flagparam import cli, density
+        from flagparam.iojson import params_from_json
+
+        check = density._hermitian_unit_trace
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1:])
+            return check(*args)
+
+        monkeypatch.setattr(density, "_hermitian_unit_trace", spy)
+        monkeypatch.setattr(cli, "_hermitian_unit_trace", spy)
+        monkeypatch.setenv("FLAGPARAM_TOL", "1e-8")
+        rho = self.density(1.0 + 1e-9)
+        rc, doc = self.run(rho, tmp_path)
+        assert rc == 0
+        assert calls == [(1e-8, 1e-8)]
+        assert doc["profile"] == [1, 1, 1, 1]
+        back = density.parametrize(params_from_json(doc))
+        assert np.max(np.abs(back - rho / np.trace(rho).real)) <= 1e-12
+
+    def test_trace_beyond_tolerance(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FLAGPARAM_TOL", "1e-8")
+        rc, doc = self.run(self.density(1.0 + 1e-7), tmp_path)
+        assert rc == 2
+        assert doc["error"]["code"] == "BAD_TRACE"
+
+
 class TestGapTolFlag:
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_rho_to_param_rejects_bad_gap_tol(self, value):

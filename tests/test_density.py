@@ -376,6 +376,68 @@ class TestDeparametrize:
         assert max(abs(x - y) for x, y in zip(a.lambdas, b.lambdas)) <= 1e-10
 
 
+class TestUncheckedResults:
+    """What deparametrize builds unchecked satisfies the public constructors' checks."""
+
+    @staticmethod
+    def spaced(n, rng):
+        """A density of n distinct eigenvalues, adjacent gaps 1 / n^2 (above the split at n <= 256)."""
+        lam = np.arange(n, 0, -1) / n**2
+        lam += (1.0 - lam.sum()) / n
+        u = haar_unitary(n, rng)
+        return (u * lam) @ u.conj().T
+
+    @staticmethod
+    def blocks(profile, rng):
+        lam = np.repeat(np.arange(len(profile), 0, -1, dtype=float), profile)
+        u = haar_unitary(len(lam), rng)
+        return (u * (lam / lam.sum())) @ u.conj().T
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(38)
+        for n in (2, 16, 64, 256):
+            yield TestUncheckedResults.spaced(n, rng), GAP_TOL
+        for profile in [(8, 8), (2, 1, 4)]:
+            yield TestUncheckedResults.blocks(profile, rng), GAP_TOL
+        # ties at gap_tol = 0 whose raw mean rounds onto the next value (see
+        # test_tied_cluster_mean_stays_in_its_cluster)
+        a = 0.20924042183036357
+        b = np.nextafter(a, 0.0)
+        yield np.diag([a, a, a, b, 1.0 - 3 * a - b]).astype(complex), 0.0
+        # traces 1 -+ 1e-12, just inside TRACE_TOL after rounding
+        for offset in (-0.99e-12, 0.99e-12):
+            rho = TestUncheckedResults.spaced(64, rng)
+            yield rho * ((1.0 + offset) / np.trace(rho).real), GAP_TOL
+
+    def test_public_reconstruction_accepts(self):
+        for rho, gap_tol in self.cases():
+            params = deparametrize(rho, gap_tol=gap_tol)
+            spectrum = Spectrum(params.spectrum.profile, params.spectrum.lambdas)
+            assert spectrum.profile == params.spectrum.profile
+            assert spectrum.lambdas == params.spectrum.lambdas
+            assert set(map(type, params.spectrum.profile)) == {int}
+            assert set(map(type, params.spectrum.lambdas)) == {float}
+            DensityParameters(spectrum, params.coords)
+
+    def test_no_public_check_runs(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            def record(self):
+                calls.append(name)
+
+            return record
+
+        monkeypatch.setattr(Spectrum, "__post_init__", spy("Spectrum"))
+        monkeypatch.setattr(DensityParameters, "__post_init__", spy("DensityParameters"))
+        for rho, gap_tol in self.cases():
+            params = deparametrize(rho, gap_tol=gap_tol)
+        assert calls == []
+        DensityParameters(Spectrum(params.spectrum.profile, params.spectrum.lambdas), params.coords)
+        assert calls == ["Spectrum", "DensityParameters"]
+
+
 def numpy_clusters(w, gap_tol):
     """The whole-array clustering rule that the one-pass _clusters replaced, kept as its oracle."""
     gaps = w[:-1] - w[1:]

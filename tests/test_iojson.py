@@ -52,6 +52,12 @@ class TestMatrixJSON:
             loads("{not json")
         assert err.value.code == "BAD_JSON"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_dumps_writes_no_bare_non_finite(self, value):
+        # NaN and Infinity are not JSON; the CLI writes only finite floats
+        with pytest.raises(ValueError):
+            dumps({"max_residual": value})
+
     @pytest.mark.parametrize(
         "key, value",
         [
