@@ -18,6 +18,11 @@ environment variable ``FLAGPARAM_TOL`` overrides the default input
 validation tolerances (unitarity, hermiticity, trace); it must be finite
 and >= 0.  ``sample`` and ``verify`` take ``--seed`` >= 0, and ``sample``
 takes n <= ``iojson.MAX_N``.
+
+Each document is one line of compact JSON with sorted keys
+(``python -m json.tool`` pretty-prints one).  The program entry :func:`run`
+ends the process with ``os._exit`` right after flushing its output;
+:func:`main` returns the exit status to in-process callers.
 """
 
 from __future__ import annotations
@@ -68,10 +73,11 @@ def cmd_param_to_rho(args):
 
 
 def cmd_rho_to_param(args):
+    # deparametrize with its checks at the CLI tolerances, in its order, each run once
+    gap_tol = require_tol(args.gap_tol, "gap_tol")
     rho = iojson.matrix_from_json(_read_doc(args))
-    # deparametrize with its checks at the CLI tolerances, each run once
     h = _hermitian_unit_trace(rho, _env_tol(EPS_HERMITIAN), _env_tol(TRACE_TOL))
-    params = _deparametrize(h, require_tol(args.gap_tol, "gap_tol"))
+    params = _deparametrize(h, gap_tol)
     _write_doc(iojson.params_to_json(params), args)
     return EXIT_OK
 
@@ -182,5 +188,18 @@ def main(argv=None):
         return exc.exit_status
 
 
+def run(argv=None):
+    """Program entry: ``main``, then a flush of both streams and ``os._exit``.
+
+    Once every byte is out the process ends without the interpreter's
+    teardown of numpy.  An exception or argparse's ``SystemExit`` leaves
+    ``main`` before the flush and ends through the normal interpreter exit.
+    """
+    status = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -74,10 +74,12 @@ def matrix_from_json(doc) -> np.ndarray:
             f"re/im shapes {re.shape}/{im.shape} do not match {rows}x{cols}",
             code="BAD_SHAPE",
         )
-    # checked before combining: 1j * inf is nan + inf j, with a RuntimeWarning on the way
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValidationError("matrix entries must be finite", code="NOT_FINITE")
-    return re + 1j * im
+    # assigned, not re + 1j * im: that sum turns a -0.0 part into +0.0
+    a = np.empty((rows, cols), dtype=complex)
+    a.real, a.imag = re, im
+    return a
 
 
 def coords_to_json(coords: FlagCoordinates) -> dict:
@@ -126,8 +128,9 @@ def params_from_json(doc) -> DensityParameters:
 
 
 def dumps(doc) -> str:
+    """One line of compact JSON with sorted keys, so the same document gives the same bytes."""
     # JSON has no NaN or Infinity: a non-finite float is a fault, not output
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
 
 def loads(text):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from flagparam import charts, coset, errors
+from flagparam import charts, coset, deparametrize, errors
 from flagparam.density import GAP_TOL
 from flagparam.iojson import matrix_from_json, matrix_to_json
 
@@ -14,6 +14,8 @@ def run_cli(args, input_text=None, env=None):
     import os
 
     full_env = dict(os.environ)
+    # an unbuffered stdout would hide a missing flush before the CLI's os._exit
+    full_env.pop("PYTHONUNBUFFERED", None)
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -290,6 +292,15 @@ class TestGapTolFlag:
         assert r.returncode == 2
         assert json.loads(r.stdout)["error"]["code"] == "BAD_TOL"
 
+    def test_gap_tol_before_the_matrix(self):
+        # diag(1, 1, 1) has trace 3: the library and the CLI both report the tolerance
+        with pytest.raises(errors.ValidationError) as err:
+            deparametrize(np.eye(3), gap_tol=-1)
+        assert err.value.code == "BAD_TOL"
+        r = run_cli(["rho-to-param", "--gap-tol", "-1"], json.dumps(matrix_to_json(np.eye(3))))
+        assert r.returncode == 2
+        assert json.loads(r.stdout)["error"]["code"] == "BAD_TOL"
+
     def test_param_to_rho_has_no_gap_tol(self):
         # refused by argparse as an unknown option, before any input is read
         r = run_cli(["param-to-rho", "--gap-tol", "1e-8"], json.dumps(golden_31_params()))
@@ -468,6 +479,36 @@ class TestSample:
         assert len(error["message"]) < 200
 
 
+class TestProgramEntry:
+    """`python -m flagparam.cli` ends through `run`: a flush, then `os._exit`."""
+
+    def test_piped_document_is_complete(self, tmp_path):
+        out = tmp_path / "sample.json"
+        piped = run_cli(["sample", "256", "--seed", "1"])
+        written = run_cli(["sample", "256", "--seed", "1", "--out", str(out)])
+        assert piped.returncode == written.returncode == 0
+        assert len(piped.stdout) > 2_000_000
+        assert json.loads(piped.stdout) == json.loads(out.read_text())
+
+    @pytest.mark.parametrize(
+        "body, status, teardown",
+        [
+            ("cli.run(['sample', '2'])", 0, False),
+            ("cli.run(['sample'])", 2, True),
+            ("cli.main = lambda argv=None: 1 / 0; cli.run([])", 1, True),
+        ],
+        ids=["done", "argparse_exit", "escaping_exception"],
+    )
+    def test_teardown_skipped_only_after_main_returns(self, body, status, teardown):
+        code = (
+            "import atexit, sys; atexit.register(print, 'teardown', file=sys.stderr); "
+            f"from flagparam import cli; {body}"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == status
+        assert ("teardown" in r.stderr) is teardown
+
+
 class TestSeedAndSizeChecks:
     """Run in process: each case is refused before numpy sees the value."""
 
@@ -476,6 +517,7 @@ class TestSeedAndSizeChecks:
         from flagparam import cli
 
         status = cli.main(argv)
+        assert type(status) is int
         return status, json.loads(capsys.readouterr().out)["error"]["code"]
 
     @pytest.mark.parametrize(

@@ -19,12 +19,35 @@ from flagparam.sampling import random_density_parameters
 
 class TestMatrixJSON:
     def test_roundtrip_bit_exact(self):
+        # compared bit for bit: np.array_equal of the values takes -0.0 for 0.0
         rng = np.random.default_rng(1)
-        m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        m[0, 0] = np.pi / 3 + 1j * np.e
-        doc = loads(dumps(matrix_to_json(m)))
-        back = matrix_from_json(doc)
-        assert np.array_equal(back, m)
+        m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        m[0, :6] = [
+            np.pi / 3 + 1j * np.e,
+            complex(-0.0, -0.0),
+            complex(-0.0, 1.0),
+            complex(1.0, -0.0),
+            complex(5e-324, -2.5e-310),  # subnormals
+            complex(0.1 + 0.2, np.nextafter(1.0, 2.0)),  # 17 significant digits
+        ]
+        back = matrix_from_json(loads(dumps(matrix_to_json(m))))
+        assert np.array_equal(back.real.view(np.uint64), m.real.view(np.uint64))
+        assert np.array_equal(back.imag.view(np.uint64), m.imag.view(np.uint64))
+
+    def test_dumps_is_one_stable_line_with_sorted_keys(self):
+        params = random_density_parameters((2, 1, 1), np.random.default_rng(3))
+        doc = {"params": params_to_json(params), "rho": matrix_to_json(parametrize(params))}
+        text = dumps(doc)
+        assert dumps(doc) == text
+        assert text.endswith("\n") and "\n" not in text[:-1] and " " not in text
+        orders = []
+
+        def record(pairs):
+            orders.append([key for key, _ in pairs])
+            return dict(pairs)
+
+        assert json.loads(text, object_pairs_hook=record) == doc
+        assert len(orders) == 7 and all(keys == sorted(keys) for keys in orders)
 
     def test_vector_becomes_column(self):
         doc = matrix_to_json(np.array([1.0, 2.0]))
