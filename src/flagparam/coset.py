@@ -491,6 +491,8 @@ def ball_to_jarlskog(x):
     x = _complex_array(x).reshape(-1)
     if x.size < 1:
         raise ValidationError("x must be nonempty", code="BAD_SHAPE")
+    if not np.isfinite(x).all():
+        raise ValidationError("x entries must be finite", code="NOT_FINITE")
     nrm = frobenius(x)
     if nrm >= 1.0:
         raise ValidationError(f"vector norm {nrm:.6f} >= 1", code="BALL_NORM")

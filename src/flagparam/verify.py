@@ -257,7 +257,12 @@ SUITES = {
 
 
 def run(suite="all", seed=DEFAULT_SEED):
-    """Run one suite (or all) and return a JSON-ready report."""
+    """Run one suite (or all) and return a JSON-ready report.
+
+    A seed that ``numpy.random.default_rng`` refuses raises
+    :class:`ValidationError` (code ``BAD_SEED``) before any suite runs.
+    """
+    linalg.read_as(np.random.default_rng, seed, "BAD_SEED", "seed must be an integer >= 0")
     names = list(SUITES) if suite == "all" else [suite]
     report = {"seed": int(seed), "suites": []}
     for name in names:

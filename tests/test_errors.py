@@ -20,6 +20,7 @@ from flagparam import (
     chart_permutations,
     coordinates_distance,
     deparametrize,
+    expm_reference,
     frame_of_unitary,
     haar_unitary,
     identity_chart,
@@ -28,6 +29,7 @@ from flagparam import (
     section_from_projective_factors,
     select_chart,
 )
+from flagparam import verify
 from flagparam.charts import validate_chart
 from flagparam.linalg import as_matrix, as_square
 
@@ -78,6 +80,13 @@ BRANCHES = [
     # norms that overflow to inf, read without an overflow warning
     pytest.param(lambda: ball_to_jarlskog(np.array([1e200, 1.0])), "BALL_NORM", id="jarlskog-overflow"),
     pytest.param(lambda: JarlskogLevel(0.1, np.array([1e200, 1.0])), "ZETA_NORM", id="zeta-overflow"),
+    # refused before the norm, which a NaN passes and then divides
+    pytest.param(lambda: ball_to_jarlskog([math.nan]), "NOT_FINITE", id="jarlskog-nan"),
+    pytest.param(lambda: ball_to_jarlskog([0.5, math.inf]), "NOT_FINITE", id="jarlskog-inf"),
+    pytest.param(lambda: expm_reference(np.full((2, 2), 1e308)), "NOT_FINITE", id="expm-norm-overflow"),
+    # numpy's generators take only nonnegative seeds
+    pytest.param(lambda: haar_unitary(3, seed=-1), "BAD_SEED", id="haar-negative-seed"),
+    pytest.param(lambda: verify.run("jarlskog", seed=-1), "BAD_SEED", id="verify-negative-seed"),
 ]
 
 

@@ -1,4 +1,5 @@
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from flagparam import (
     NotPSDError,
     SingularInputError,
     expm_reference,
+    generator_matrix,
     haar_unitary,
     hermitian_sqrt,
     lower_triangularize,
@@ -164,17 +166,54 @@ class TestLowerTriangularize:
 
 class TestExpmReference:
     def test_import_leaves_scipy_unloaded(self):
-        # scipy serves only the oracle and is imported on its first call
+        # a fresh interpreter whose first import finder refuses scipy imports
+        # the package and its CLI and runs every property suite
         src = str(Path(flagparam.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "import sys, flagparam, flagparam.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+        code = """if True:
+            import importlib.abc, json, sys
+
+            class RefuseScipy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "scipy":
+                        raise ModuleNotFoundError(f"{name} is refused")
+
+            sys.meta_path.insert(0, RefuseScipy())
+            import flagparam, flagparam.cli
+            status = flagparam.cli.main(["verify", "--suite", "all"])
+            scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+            print(json.dumps({"status": status, "scipy": scipy}))
+        """
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == "[]"
+        report, tail = r.stdout.splitlines()
+        assert json.loads(report)["pass"] is True
+        assert json.loads(tail) == {"status": 0, "scipy": []}
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 0.1, 1.0, 3.0, 10.0])
+    def test_generator_matches_scipy(self, scale):
+        # a second, independent oracle: scipy's scaling-and-squaring Pade
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            k1, k2 = (int(k) for k in rng.integers(1, 5, size=2))
+            b = random_complex(rng, k1, k2)
+            a = generator_matrix(b * (scale / frobenius(b)))
+            reference = expm(a)
+            assert frobenius(expm_reference(a) - reference) <= 1e-13 * frobenius(reference)
+
+    def test_general_matches_scipy(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(34)
+        for n in range(1, 9):
+            for norm in (1e-3, 0.5, 2.0, 5.0, 10.0):
+                a = random_complex(rng, n, n)
+                a *= norm / np.linalg.norm(a, 1)
+                reference = expm(a)
+                assert frobenius(expm_reference(a) - reference) <= 1e-13 * frobenius(reference)
 
     def test_zero(self):
         np.testing.assert_allclose(expm_reference(np.zeros((3, 3))), np.eye(3), atol=1e-14)
