@@ -340,7 +340,8 @@ def reconstruct_unitary(coords: FlagCoordinates, h=None):
             f"block profile {h.profile} does not match coordinates profile {ks}",
             code="PROFILE_SUM",
         )
-    g = np.eye(coords.n, dtype=complex)
+    g = np.zeros((coords.n, coords.n), dtype=complex)
+    g.flat[:: coords.n + 1] = 1.0
     levels = zip(level_dimensions(ks), coords.charts, coords.factors)
     for panel, moved in _panels(reversed(list(levels))):
         (nj, _), sigma, _ = panel[-1]
@@ -493,7 +494,10 @@ def ball_to_jarlskog(x):
         raise ValidationError("x must be nonempty", code="BAD_SHAPE")
     if not np.isfinite(x).all():
         raise ValidationError("x entries must be finite", code="NOT_FINITE")
-    nrm = frobenius(x)
+    # numpy's norm, not frobenius's dot, which sums in another order: theta
+    # and zeta are parameters, and keep their bits
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(x))
     if nrm >= 1.0:
         raise ValidationError(f"vector norm {nrm:.6f} >= 1", code="BALL_NORM")
     if nrm == 0.0:

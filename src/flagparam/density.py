@@ -63,7 +63,7 @@ class Spectrum:
 
     def diagonal(self):
         """The eigenvalues repeated per multiplicity, as a vector."""
-        return np.repeat(np.array(self.lambdas, dtype=float), np.array(self.profile))
+        return np.array([v for v, k in zip(self.lambdas, self.profile) for _ in range(k)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,10 @@ coordinate, the blocks of a generator's exponential) are scalar functions
 of the eigenvalues of its p x p Gram matrix, p = min(r, k), from one
 ``eigh`` (see :func:`gram_eighs`); only the factors of a wide ball
 coordinate take a thin SVD.
+
+A finite check and a Frobenius norm take one BLAS dot each, the sum of
+|a_ij|^2 (see :func:`_sum_squares`); numpy's exact test runs only when that
+dot is not finite.
 """
 
 from __future__ import annotations
@@ -52,9 +56,7 @@ def as_matrix(a):
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise ValidationError(f"expected a matrix, got ndim={m.ndim}", code="BAD_SHAPE")
-    if m.size and not np.isfinite(m).all():
-        raise ValidationError("matrix entries must be finite", code="NOT_FINITE")
-    return m
+    return _finite(m)
 
 
 def as_square(a):
@@ -62,14 +64,40 @@ def as_square(a):
     m = _complex_array(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}", code="BAD_SHAPE")
-    if m.size and not np.isfinite(m).all():
+    return _finite(m)
+
+
+def _sum_squares(a):
+    """The sum of |a_ij|^2 from one BLAS dot: no temporary, no warning.
+
+    It is finite only when every entry is; an entry above about 1e154 makes
+    it inf or nan (``np.vdot`` turns 1e200 + 1e200j into nan + nanj).  An
+    array that is not float or complex (integer, bool) is cast to float
+    first, so that nothing wraps.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind not in "fc":
+        a = a.astype(float)
+    return np.vdot(a, a).real
+
+
+def _finite(m):
+    """m, after checking that its entries are finite; the exact test runs only when the dot is not finite."""
+    if not math.isfinite(_sum_squares(m)) and not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite", code="NOT_FINITE")
     return m
 
 
 def frobenius(a) -> float:
-    # entries above about 1e154 overflow the sum of squares to inf, which
-    # every caller compares with a tolerance; that is no cause for a warning
+    """||a||_F, the square root of one BLAS dot (see :func:`_sum_squares`).
+
+    When the dot is not finite, numpy's norm decides: inf for finite
+    entries whose squares overflow, which every caller compares with a
+    tolerance, and nan for a nan entry.
+    """
+    s = _sum_squares(a)
+    if math.isfinite(s):
+        return math.sqrt(s)
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(a))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import charts, coset, density, lie, linalg
+from .errors import ValidationError
 from .linalg import RANK_TOL, expm_reference, frobenius, haar_unitary, hermitian_sqrt
 from .sampling import (
     random_ball_matrix,
@@ -259,12 +260,20 @@ SUITES = {
 def run(suite="all", seed=DEFAULT_SEED):
     """Run one suite (or all) and return a JSON-ready report.
 
-    A seed that ``numpy.random.default_rng`` refuses raises
-    :class:`ValidationError` (code ``BAD_SEED``) before any suite runs.
+    Before any suite runs, a seed that is not an integer >= 0 (read by
+    :func:`linalg.read_int`) raises :class:`ValidationError` with code
+    ``BAD_SEED``, and a suite that is neither ``"all"`` nor a key of
+    ``SUITES`` raises one with code ``BAD_SUITE``.
     """
-    linalg.read_as(np.random.default_rng, seed, "BAD_SEED", "seed must be an integer >= 0")
+    seed = linalg.read_int(seed, "BAD_SEED", "seed must be an integer >= 0")
+    if seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed}", code="BAD_SEED")
+    if suite not in ("all", *SUITES):
+        raise ValidationError(
+            f"unknown suite {suite!r}; expected 'all' or one of {list(SUITES)}", code="BAD_SUITE"
+        )
     names = list(SUITES) if suite == "all" else [suite]
-    report = {"seed": int(seed), "suites": []}
+    report = {"seed": seed, "suites": []}
     for name in names:
         props = SUITES[name](seed)
         report["suites"].append(

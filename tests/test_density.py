@@ -562,6 +562,32 @@ class TestSvdCount:
             assert frobenius(back - rho) <= 1e-10
 
 
+class TestCallFootprint:
+    def test_roundtrip_takes_no_isfinite_norm_eye_or_repeat(self, monkeypatch):
+        # the input checks read one dot each; the rebuild's identity and the
+        # diagonal of the spectrum are built without np.eye and np.repeat
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        rng = np.random.default_rng(36)
+        v = haar_unitary(16, rng)
+        rho = (v * np.repeat([0.08, 0.045], 8)) @ v.conj().T
+        rho = (rho + rho.conj().T) / rho.trace().real / 2
+        for module, name in ((np, "isfinite"), (np.linalg, "norm"), (np, "eye"), (np, "repeat")):
+            counting(module, name)
+        back = parametrize(deparametrize(rho))
+        assert calls == []
+        assert np.abs(back - rho).max() <= 1e-14
+
+
 class TestParameterCount:
     def test_single_block(self):
         assert parameter_count((4,)) == 0

@@ -87,6 +87,9 @@ BRANCHES = [
     # numpy's generators take only nonnegative seeds
     pytest.param(lambda: haar_unitary(3, seed=-1), "BAD_SEED", id="haar-negative-seed"),
     pytest.param(lambda: verify.run("jarlskog", seed=-1), "BAD_SEED", id="verify-negative-seed"),
+    # verify.run reads its seed as an integer and names its suites, as the CLI does
+    pytest.param(lambda: verify.run("jarlskog", seed=np.random.default_rng(1)), "BAD_SEED", id="verify-generator-seed"),
+    pytest.param(lambda: verify.run("bogus"), "BAD_SUITE", id="verify-unknown-suite"),
 ]
 
 

@@ -21,6 +21,8 @@ from flagparam import (
 )
 from flagparam.errors import ValidationError
 from flagparam.linalg import (
+    as_matrix,
+    as_square,
     ball_factors,
     frobenius,
     gram_eigh,
@@ -371,6 +373,62 @@ class TestGramRoute:
         with pytest.raises(ValidationError) as exc:
             gram_eigh(np.full((4, 3), 1.5e308))
         assert exc.value.code == "NOT_FINITE"
+
+
+OVERFLOWING = [1e200, 1e200 + 1e200j, 1e300]  # finite, but their squares overflow
+
+
+class TestDotChecks:
+    """Finite checks and Frobenius norms from one dot; numpy decides when the dot is not finite."""
+
+    @pytest.mark.parametrize("entry", OVERFLOWING)
+    @pytest.mark.parametrize("check", [as_matrix, as_square])
+    def test_overflowing_squares_are_finite(self, check, entry):
+        a = np.array([[0.5, entry], [0.0, 0.5]])
+        assert np.array_equal(check(a), a)
+
+    @pytest.mark.parametrize("entry", OVERFLOWING)
+    def test_overflowing_frobenius_is_inf(self, entry):
+        assert frobenius(np.array([[0.5, entry], [0.0, 0.5]], dtype=complex)) == np.inf
+        assert frobenius(np.array([entry])) == np.inf
+
+    @pytest.mark.parametrize("entry", OVERFLOWING)
+    def test_overflowing_non_hermitian(self, entry):
+        # the defect reads inf, as numpy's norm gives it, and fails the tolerance
+        a = [[0.5, entry], [0.0, 0.5]]
+        for call in (hermitian_part, flagparam.deparametrize):
+            with pytest.raises(ValidationError) as exc:
+                call(a)
+            assert exc.value.code == "NOT_HERMITIAN"
+
+    @pytest.mark.parametrize(
+        "entry", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)]
+    )
+    @pytest.mark.parametrize("check", [as_matrix, as_square])
+    def test_non_finite_entry(self, check, entry):
+        a = np.full((3, 3), 0.5, dtype=complex)
+        a[1, 2] = entry
+        with pytest.raises(ValidationError) as exc:
+            check(a)
+        assert exc.value.code == "NOT_FINITE"
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros((0, 0)),
+            np.zeros((0, 3), dtype=complex),
+            np.full((3, 3), 2**40),  # its int64 dot would wrap
+            np.array([[True, False], [True, True]]),
+            np.array([[1.5, -2.0], [np.nan, 0.0]]),
+        ],
+        ids=["empty", "empty-complex", "int64", "bool", "nan"],
+    )
+    def test_frobenius_of_other_arrays_is_numpy_norm(self, a):
+        assert np.array_equal(frobenius(a), float(np.linalg.norm(a)), equal_nan=True)
+
+    def test_empty_matrix_is_finite(self):
+        assert as_matrix(np.zeros((0, 2))).shape == (0, 2)
+        assert as_square(np.zeros((0, 0))).shape == (0, 0)
 
 
 class TestHermitianMean:
