@@ -24,6 +24,7 @@ from .errors import ValidationError
 from .linalg import (
     RANK_TOL,
     _complex_array,
+    _numpy_norm,
     as_matrix,
     block_diag,
     exact_ints,
@@ -496,8 +497,7 @@ def ball_to_jarlskog(x):
         raise ValidationError("x entries must be finite", code="NOT_FINITE")
     # numpy's norm, not frobenius's dot, which sums in another order: theta
     # and zeta are parameters, and keep their bits
-    with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(x))
+    nrm = _numpy_norm(x)
     if nrm >= 1.0:
         raise ValidationError(f"vector norm {nrm:.6f} >= 1", code="BALL_NORM")
     if nrm == 0.0:

@@ -91,13 +91,18 @@ def _finite(m):
 def frobenius(a) -> float:
     """||a||_F, the square root of one BLAS dot (see :func:`_sum_squares`).
 
-    When the dot is not finite, numpy's norm decides: inf for finite
-    entries whose squares overflow, which every caller compares with a
-    tolerance, and nan for a nan entry.
+    When the dot is not finite, numpy's norm decides (see
+    :func:`_numpy_norm`): inf for finite entries whose squares overflow,
+    which every caller compares with a tolerance, and nan for a nan entry.
     """
     s = _sum_squares(a)
     if math.isfinite(s):
         return math.sqrt(s)
+    return _numpy_norm(a)
+
+
+def _numpy_norm(a) -> float:
+    """numpy's Frobenius norm: inf, without an overflow warning, when the sum of squares overflows."""
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(a))
 

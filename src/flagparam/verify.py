@@ -262,13 +262,13 @@ def run(suite="all", seed=DEFAULT_SEED):
 
     Before any suite runs, a seed that is not an integer >= 0 (read by
     :func:`linalg.read_int`) raises :class:`ValidationError` with code
-    ``BAD_SEED``, and a suite that is neither ``"all"`` nor a key of
+    ``BAD_SEED``, and a suite that is not the string ``"all"`` or a key of
     ``SUITES`` raises one with code ``BAD_SUITE``.
     """
     seed = linalg.read_int(seed, "BAD_SEED", "seed must be an integer >= 0")
     if seed < 0:
         raise ValidationError(f"seed must be an integer >= 0, got {seed}", code="BAD_SEED")
-    if suite not in ("all", *SUITES):
+    if not isinstance(suite, str) or suite not in ("all", *SUITES):
         raise ValidationError(
             f"unknown suite {suite!r}; expected 'all' or one of {list(SUITES)}", code="BAD_SUITE"
         )

@@ -90,6 +90,7 @@ BRANCHES = [
     # verify.run reads its seed as an integer and names its suites, as the CLI does
     pytest.param(lambda: verify.run("jarlskog", seed=np.random.default_rng(1)), "BAD_SEED", id="verify-generator-seed"),
     pytest.param(lambda: verify.run("bogus"), "BAD_SUITE", id="verify-unknown-suite"),
+    pytest.param(lambda: verify.run(np.array(["lie", "jarlskog"])), "BAD_SUITE", id="verify-array-suite"),
 ]
 
 

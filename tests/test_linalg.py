@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -425,6 +426,17 @@ class TestDotChecks:
     )
     def test_frobenius_of_other_arrays_is_numpy_norm(self, a):
         assert np.array_equal(frobenius(a), float(np.linalg.norm(a)), equal_nan=True)
+
+    def test_jarlskog_angle_keeps_numpy_norm(self):
+        # theta and zeta are parameters: they come from numpy's norm, whose
+        # sum differs from the dot's in the last bit on about one vector in eight
+        rng = np.random.default_rng(53)
+        for j in [*range(1, 17)] * 8:
+            x = 0.2 * random_complex(rng, 1, j).ravel() / np.sqrt(j)
+            nrm = float(np.linalg.norm(x))
+            level = flagparam.ball_to_jarlskog(x)
+            assert level.theta == math.asin(nrm)
+            assert np.array_equal(level.zeta, x / nrm)
 
     def test_empty_matrix_is_finite(self):
         assert as_matrix(np.zeros((0, 2))).shape == (0, 2)
